@@ -1,19 +1,12 @@
 // Google-benchmark microbenchmarks for the hot algorithm and substrate
 // paths: the deterministic allocation procedures, wire codecs, ARP cache
-// and end-to-end simulated packet delivery.
-//
-// The *Legacy benchmarks replicate the pre-fast-path implementations
-// (shared_ptr-per-event scheduler, deep-copy-per-receiver broadcast) so a
-// single binary emits honest before/after numbers. Run with no arguments
-// it writes BENCH_micro_core.json (google-benchmark JSON) next to the
-// binary; tools/check_bench.py compares such files across commits.
+// and end-to-end simulated packet delivery. Run with no arguments it
+// writes BENCH_micro_core.json (google-benchmark JSON) next to the binary;
+// tools/check_bench.py compares such files across commits.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <queue>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,113 +18,10 @@
 #include "sim/scheduler.hpp"
 #include "util/shared_bytes.hpp"
 #include "wackamole/balance.hpp"
-#include "wackamole/balance_legacy.hpp"
 #include "wackamole/group_ids.hpp"
 #include "wackamole/wire.hpp"
 
 using namespace wam;
-
-// Faithful replica of the event core this PR replaced: one shared_ptr
-// control block per event, std::function callbacks (heap-allocating for
-// captures beyond ~2 words), eager copies in the priority queue. Kept
-// here, not in src/, purely as the "before" side of the measurement.
-namespace legacy {
-
-class Scheduler;
-
-class TimerHandle {
- public:
-  TimerHandle() = default;
-  void cancel() {
-    if (state_) state_->cancelled = true;
-  }
-
- private:
-  friend class Scheduler;
-  struct State {
-    bool cancelled = false;
-    bool fired = false;
-  };
-  explicit TimerHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
-};
-
-class Scheduler {
- public:
-  // noinline: the original implementation lived out-of-line in
-  // scheduler.cpp, opaque to every caller; replicating that keeps the
-  // before/after comparison honest now that the slab scheduler's hot
-  // path is header-inline.
-  __attribute__((noinline)) TimerHandle schedule(sim::Duration delay,
-                                                 std::function<void()> fn) {
-    auto when = now_ + (delay < sim::kZero ? sim::kZero : delay);
-    auto state = std::make_shared<TimerHandle::State>();
-    queue_.push(Event{when, next_seq_++, std::move(fn), state});
-    return TimerHandle(state);
-  }
-  __attribute__((noinline)) bool step() {
-    while (!queue_.empty()) {
-      Event ev = queue_.top();
-      queue_.pop();
-      if (ev.state->cancelled) continue;
-      now_ = ev.when;
-      ev.state->fired = true;
-      ev.fn();
-      return true;
-    }
-    return false;
-  }
-  void run_all() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    sim::TimePoint when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<TimerHandle::State> state;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  sim::TimePoint now_{};
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
-/// Pre-COW frame: the payload is a plain byte vector, deep-copied every
-/// time the frame is.
-struct Frame {
-  net::MacAddress dst;
-  net::MacAddress src;
-  net::EtherType type = net::EtherType::kIpv4;
-  util::Bytes payload;
-};
-
-/// Pre-fast-path STATE_MSG encoder: the wire v1 layout exactly as
-/// encode_state() emitted it before the exact-capacity reserve, growing
-/// the writer's buffer through vector reallocation as names append.
-util::Bytes encode_state(const wam::wackamole::StateMsg& m) {
-  util::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(wam::wackamole::WamMsgType::kState));
-  w.u64(m.view.epoch);
-  w.u32(m.view.coordinator);
-  w.u64(m.view.group_seq);
-  w.boolean(m.mature);
-  w.u32(m.weight);
-  for (const auto* names : {&m.owned, &m.preferred, &m.quarantined}) {
-    w.u32(static_cast<std::uint32_t>(names->size()));
-    for (const auto& n : *names) w.str(n);
-  }
-  return w.take();
-}
-
-}  // namespace legacy
 
 namespace {
 
@@ -159,15 +49,11 @@ std::vector<wackamole::MemberInfo> make_members(int m) {
   return out;
 }
 
-// ---- Placement: the fast path vs the reference O(V*M) formulation ----
+// ---- Placement ----
 //
-// The fast benchmarks measure the allocation procedures exactly as the
-// daemon runs them: GroupSet and MemberStates are built once when the
-// configuration / membership changes, and each round calls the dense
-// *_fast procedure. The *Legacy twins run the verbatim pre-fast-path
-// implementations (balance_legacy.cpp) on the same inputs; the
-// equivalence suite proves both sides return identical decisions, so the
-// ratio is a pure speed comparison.
+// The allocation procedures exactly as the daemon runs them: GroupSet and
+// MemberStates are built once when the configuration / membership
+// changes, and each round calls the dense *_fast procedure.
 
 void BM_ReallocateIps(benchmark::State& state) {
   auto groups = make_groups(static_cast<int>(state.range(0)));
@@ -183,23 +69,6 @@ void BM_ReallocateIps(benchmark::State& state) {
                           static_cast<std::int64_t>(groups.size()));
 }
 BENCHMARK(BM_ReallocateIps)
-    ->Args({10, 4})
-    ->Args({100, 12})
-    ->Args({1000, 32})
-    ->Args({4096, 64});
-
-void BM_ReallocateIpsLegacy(benchmark::State& state) {
-  auto groups = make_groups(static_cast<int>(state.range(0)));
-  auto members = make_members(static_cast<int>(state.range(1)));
-  wackamole::VipTable table;  // everything uncovered
-  for (auto _ : state) {
-    auto a = wackamole::legacy_reallocate_ips(groups, table, members);
-    benchmark::DoNotOptimize(a);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(groups.size()));
-}
-BENCHMARK(BM_ReallocateIpsLegacy)
     ->Args({10, 4})
     ->Args({100, 12})
     ->Args({1000, 32})
@@ -225,24 +94,6 @@ BENCHMARK(BM_BalanceIps)
     ->Args({1000, 32})
     ->Args({4096, 64});
 
-void BM_BalanceIpsLegacy(benchmark::State& state) {
-  auto groups = make_groups(static_cast<int>(state.range(0)));
-  auto members = make_members(static_cast<int>(state.range(1)));
-  wackamole::VipTable table;
-  for (const auto& g : groups) table.set_owner(g, members[0].id);
-  for (auto _ : state) {
-    auto a = wackamole::legacy_balance_ips(groups, table, members);
-    benchmark::DoNotOptimize(a);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(groups.size()));
-}
-BENCHMARK(BM_BalanceIpsLegacy)
-    ->Args({10, 4})
-    ->Args({100, 12})
-    ->Args({1000, 32})
-    ->Args({4096, 64});
-
 void BM_ResolveConflictClaims(benchmark::State& state) {
   auto groups = make_groups(64);
   gcs::GroupView view;
@@ -257,19 +108,14 @@ void BM_ResolveConflictClaims(benchmark::State& state) {
 }
 BENCHMARK(BM_ResolveConflictClaims);
 
-// ---- STATE_MSG build + encode: wire v2 vs the pre-fast-path v1 path ----
+// ---- STATE_MSG build + encode ----
 //
-// Measures what a daemon pays per STATE_MSG send, replicating each
-// generation's send_state_msg() exactly (minus the ip_manager holds()
-// probe, which both generations pay identically). The v1 path collected
-// owned names as strings and std::sort'ed them, copied the preference
-// strings, walked the quarantine set into a string vector, and ran the
-// no-reserve v1 encoder. The v2 path emits owned ids in (pre-sorted)
-// position order, copies GroupId vectors, interns the quarantine names,
-// and runs the compact v2 encoder, whose name table is built with O(1)
-// stamp checks per id. Names are long with a shared prefix, as real
-// deployment names ("wackamole-cluster-vip-...") are — which is exactly
-// what makes the legacy sort and copies expensive.
+// Measures what a daemon pays per STATE_MSG send, replicating
+// send_state_msg() exactly (minus the ip_manager holds() probe): owned ids
+// in (pre-sorted) position order, copied GroupId vectors, interned
+// quarantine names, and the compact v2 encoder, whose name table is built
+// with O(1) stamp checks per id. Names are long with a shared prefix, as
+// real deployment names ("wackamole-cluster-vip-...") are.
 
 std::vector<std::string> make_wire_names(int n) {
   std::vector<std::string> out;
@@ -287,17 +133,12 @@ struct WireFixture {
   explicit WireFixture(int n) {
     auto names = make_wire_names(n);
     for (int i = 0; i < n; ++i) {
-      owned.push_back(names[static_cast<std::size_t>(i)]);
-      owned_ids.push_back(
-          wackamole::intern_group(names[static_cast<std::size_t>(i)]));
-      if (i % 4 == 0) {
-        preferred.push_back(owned.back());
-        preferred_ids.push_back(owned_ids.back());
-      }
-      if (i % 16 == 0) quarantined_set.insert(owned.back());
+      const auto& name = names[static_cast<std::size_t>(i)];
+      owned_ids.push_back(wackamole::intern_group(name));
+      if (i % 4 == 0) preferred_ids.push_back(owned_ids.back());
+      if (i % 16 == 0) quarantined_set.insert(name);
     }
   }
-  std::vector<std::string> owned, preferred;
   std::set<std::string> quarantined_set;  // Daemon::quarantined_ replica
   std::vector<wackamole::GroupId> owned_ids, preferred_ids;
 };
@@ -323,28 +164,7 @@ void BM_StateEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_StateEncode)->Arg(256)->Arg(1024)->Arg(4096);
 
-void BM_StateEncodeLegacy(benchmark::State& state) {
-  WireFixture fx(static_cast<int>(state.range(0)));
-  const wackamole::ViewTag tag{42, 0x0a000001, 7};
-  for (auto _ : state) {
-    wackamole::StateMsg m;
-    m.view = tag;
-    m.mature = true;
-    m.weight = 1;
-    m.owned = fx.owned;  // Daemon::owned(): collect + sort
-    std::sort(m.owned.begin(), m.owned.end());
-    m.preferred = fx.preferred;
-    m.quarantined = std::vector<std::string>(fx.quarantined_set.begin(),
-                                             fx.quarantined_set.end());
-    auto bytes = legacy::encode_state(m);
-    benchmark::DoNotOptimize(bytes);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StateEncodeLegacy)->Arg(256)->Arg(1024)->Arg(4096);
-
-// Informative decode-side twin: v2 decoding interns each table name once
-// and reads varint indices; v1 decoding re-allocates every string.
+// Decode side: interns each table name once and reads varint indices.
 void BM_StateDecode(benchmark::State& state) {
   WireFixture fx(static_cast<int>(state.range(0)));
   wackamole::StateMsgV2 m;
@@ -363,37 +183,6 @@ void BM_StateDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateDecode)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_StateDecodeLegacy(benchmark::State& state) {
-  WireFixture fx(static_cast<int>(state.range(0)));
-  wackamole::StateMsg m;
-  m.view = wackamole::ViewTag{42, 0x0a000001, 7};
-  m.mature = true;
-  m.owned = fx.owned;
-  m.preferred = fx.preferred;
-  m.quarantined = std::vector<std::string>(fx.quarantined_set.begin(),
-                                           fx.quarantined_set.end());
-  auto bytes = wackamole::encode_state(m);
-  for (auto _ : state) {
-    auto decoded = wackamole::decode_state(bytes);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StateDecodeLegacy)->Arg(256)->Arg(1024)->Arg(4096);
-
-void BM_StateMsgCodec(benchmark::State& state) {
-  wackamole::StateMsg m;
-  m.view = wackamole::ViewTag{42, 1, 7};
-  m.mature = true;
-  for (int i = 0; i < 32; ++i) m.owned.push_back("vip-" + std::to_string(i));
-  for (auto _ : state) {
-    auto bytes = wackamole::encode_state(m);
-    auto decoded = wackamole::decode_state(bytes);
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-BENCHMARK(BM_StateMsgCodec);
 
 void BM_GcsDataCodec(benchmark::State& state) {
   gcs::DataMessage d;
@@ -458,9 +247,8 @@ BENCHMARK(BM_SimulatedUdpRoundTrip);
 //
 // Every heartbeat period each daemon arms a fault-detection timer, hears
 // the heartbeat, cancels it and re-arms. Modelled here as: arm a batch of
-// timers, cancel half, fire the rest, repeat. The "after" side uses the
-// slab scheduler (no per-event allocation once the slab is warm); the
-// legacy side pays a make_shared + a std::function heap capture per event.
+// timers, cancel half, fire the rest, repeat (no per-event allocation once
+// the slab is warm).
 
 constexpr int kChurnBatch = 64;
 
@@ -483,32 +271,11 @@ void BM_SchedulerTimerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerTimerChurn);
 
-void BM_SchedulerTimerChurnLegacy(benchmark::State& state) {
-  legacy::Scheduler sched;
-  std::uint64_t fired = 0;
-  std::vector<legacy::TimerHandle> handles(kChurnBatch);
-  for (auto _ : state) {
-    for (int i = 0; i < kChurnBatch; ++i) {
-      handles[static_cast<std::size_t>(i)] =
-          sched.schedule(sim::milliseconds(i + 1), [&fired] { ++fired; });
-    }
-    for (int i = 0; i < kChurnBatch; i += 2) {
-      handles[static_cast<std::size_t>(i)].cancel();
-    }
-    sched.run_all();
-  }
-  benchmark::DoNotOptimize(fired);
-  state.SetItemsProcessed(state.iterations() * kChurnBatch);
-}
-BENCHMARK(BM_SchedulerTimerChurnLegacy);
-
 // ---- Broadcast fan-out: one frame to N receivers ----
 //
 // The fabric delivers a broadcast by scheduling one delivery event per
-// attached NIC, each capturing its own copy of the frame. After the COW
-// change those copies share one refcounted payload buffer; before, each
-// was a fresh heap allocation + memcpy of the full payload (and the
-// delivery closure itself spilled to the heap inside std::function).
+// attached NIC, each capturing its own copy of the frame; the copies share
+// one refcounted payload buffer.
 
 constexpr int kFanOut = 16;
 constexpr std::size_t kPayloadSize = 1024;
@@ -533,26 +300,6 @@ void BM_FabricBroadcastDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFanOut);
 }
 BENCHMARK(BM_FabricBroadcastDelivery);
-
-void BM_FabricBroadcastDeliveryLegacy(benchmark::State& state) {
-  legacy::Scheduler sched;
-  legacy::Frame frame;
-  frame.dst = net::MacAddress::broadcast();
-  frame.src = net::MacAddress::from_index(1);
-  frame.payload = util::Bytes(kPayloadSize, 0x5a);
-  std::uint64_t delivered = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < kFanOut; ++i) {
-      sched.schedule(sim::microseconds(5), [frame, &delivered] {
-        delivered += frame.payload.size();
-      });
-    }
-    sched.run_all();
-  }
-  benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations() * kFanOut);
-}
-BENCHMARK(BM_FabricBroadcastDeliveryLegacy);
 
 // End-to-end broadcast through the real fabric: one limited-broadcast
 // datagram reaching every host on the segment (COW payload sharing in

@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
       // (cluster profile; router schedules do not generate them).
       cli.campaign.generator.state_faults = true;
     } else if (std::strcmp(arg, "--shards") == 0) {
-      // Run cluster-profile seeds on the sharded engine (decision-identical
-      // to the default sequential engine; see docs/PARALLEL.md).
+      // Run cluster-profile seeds on N shards (byte-identical to the
+      // default of 1; see docs/PARALLEL.md).
       const char* a = next();
       if (!a || !parse_u64(a, v) || v == 0 || v > 64) return usage(argv[0]);
       cli.campaign.shards = static_cast<int>(v);

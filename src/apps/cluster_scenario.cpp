@@ -22,6 +22,7 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
   WAM_EXPECTS(options_.num_servers >= 1);
   WAM_EXPECTS(options_.num_vips >= 1 && options_.num_vips <= 4096);
   WAM_EXPECTS(options_.load_clients >= 1 && options_.load_clients <= 32);
+  WAM_EXPECTS(options_.shards >= 1);
   const bool wide = options_.num_vips > 100;
   const int prefix = wide ? 16 : 24;
   const auto router_ip = wide ? net::Ipv4Address(10, 0, 255, 254)
@@ -31,7 +32,7 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
   fabric.bind_observability(obs, "net");
   if (options_.with_router) external_seg_ = fabric.add_segment();
 
-  if (options_.shards > 0) {
+  if (options_.shards > 1) {
     // Lookahead = the minimum per-hop latency: anything sent in a window
     // arrives in a window that has not started yet (conservative PDES).
     sim::Duration lookahead = fabric.segment_config(cluster_seg_).latency;

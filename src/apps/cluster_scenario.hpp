@@ -46,12 +46,11 @@ struct ClusterOptions {
   sim::Duration audit_interval = sim::kZero;
   sim::Duration resync_delay = sim::seconds(1.0);
   sim::Duration resync_backoff_max = sim::seconds(30.0);
-  /// Sharded engine (conservative PDES, sim/shard.hpp). 0 keeps the legacy
-  /// single-threaded engine byte-identical to history; N >= 1 runs the
-  /// sharded engine with N shards — N = 1 is the sequential oracle (same
-  /// engine semantics, per-NIC fabric RNG streams, no parallelism), which
-  /// the equivalence tests compare N > 1 runs against.
-  int shards = 0;
+  /// Shard count (conservative PDES, sim/shard.hpp), >= 1. N = 1 is the
+  /// plain single-scheduler engine and the oracle the equivalence tests
+  /// compare N > 1 runs against; N > 1 builds a ShardSet with N shards.
+  /// Every N gives the same bytes for the same seed.
+  int shards = 1;
   /// Worker threads for the sharded engine; false = serial round-robin on
   /// the calling thread with bit-identical results (TSan-friendly
   /// reference, and faster on single-core boxes).

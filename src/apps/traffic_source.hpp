@@ -1,11 +1,11 @@
 // The unified client-traffic abstraction.
 //
-// Three generations of traffic drivers grew side by side: the paper's
-// single ProbeClient (§6), the multi-stream Workload, and the open-loop
-// flow harness in src/load. Scenarios and benches should not care which
-// one is wired in — a TrafficSource starts, stops, and renders what it
-// observed as a structured TrafficReport, so availability accounting is
-// comparable across drivers and across fail-over protocols.
+// Two traffic drivers exist side by side: the paper's single ProbeClient
+// (§6) and the open-loop flow harness in src/load. Scenarios and benches
+// should not care which one is wired in — a TrafficSource starts, stops,
+// and renders what it observed as a structured TrafficReport, so
+// availability accounting is comparable across drivers and across
+// fail-over protocols.
 #pragma once
 
 #include <cstdint>

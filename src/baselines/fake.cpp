@@ -10,7 +10,7 @@ void FakeResponder::start() {
   running_ = host_.open_udp(
       port_, [this](const net::Host::UdpContext& ctx, const util::SharedBytes& p) {
         host_.send_udp_from(ctx.dst_ip, ctx.src_ip, ctx.src_port,
-                            ctx.dst_port, p);
+                            ctx.dst_port, p.to_bytes());
       });
 }
 

@@ -2,6 +2,7 @@
 
 #include "apps/cluster_scenario.hpp"
 #include "apps/router_scenario.hpp"
+#include "util/assert.hpp"
 
 namespace wam::chaos {
 
@@ -291,6 +292,7 @@ std::vector<Violation> execute_schedule(
     const FaultSchedule& schedule, const std::vector<FaultAction>& actions,
     std::uint64_t fabric_seed, std::string* timeline_json, int shards,
     bool shard_threads, std::vector<double>* reconvergence_ms) {
+  WAM_EXPECTS(shards >= 1);
   return schedule.router_profile
              ? execute_router(schedule, actions, fabric_seed, timeline_json)
              : execute_cluster(schedule, actions, fabric_seed, timeline_json,

@@ -33,11 +33,11 @@ struct CampaignOptions {
   GeneratorOptions generator;
   bool shrink = true;          // minimize the schedule on violation
   int shrink_max_evals = 120;  // each evaluation is a full simulated run
-  /// Cluster-profile engine: 0 = legacy single-threaded, N >= 1 = sharded
-  /// conservative-PDES engine with N shards. The sharded engine is
-  /// decision-identical to the sequential one, so verdicts and timelines
-  /// match across values. Router profile always runs sequentially.
-  int shards = 0;
+  /// Cluster-profile shard count, >= 1: N = 1 is the plain engine, N > 1
+  /// the conservative-PDES engine with N shards. Verdicts and timelines
+  /// are byte-identical across values. Router profile always runs on the
+  /// plain engine.
+  int shards = 1;
   bool shard_threads = true;
 };
 
@@ -75,7 +75,7 @@ struct CampaignResult {
 /// windows (state-fault cluster schedules only).
 [[nodiscard]] std::vector<Violation> execute_schedule(
     const FaultSchedule& schedule, const std::vector<FaultAction>& actions,
-    std::uint64_t fabric_seed, std::string* timeline_json, int shards = 0,
+    std::uint64_t fabric_seed, std::string* timeline_json, int shards = 1,
     bool shard_threads = true,
     std::vector<double>* reconvergence_ms = nullptr);
 

@@ -133,7 +133,7 @@ TrialResult wackamole_trial(const TrialOptions& t) {
 
 /// Flat LAN shared by the VRRP/HSRP/Fake trials: `members` hosts all
 /// running echo servers, a client population, same VIP addresses as
-/// Wackamole. With t.shards > 0 the world runs on the sharded engine:
+/// Wackamole. With t.shards > 1 the world runs on the sharded engine:
 /// members (and the protocol traffic between them) on shard 0, clients
 /// spread over shards 1..N-1.
 struct BaselineLan {
@@ -148,8 +148,9 @@ struct BaselineLan {
 
   explicit BaselineLan(const TrialOptions& t) : fabric(sched, &log, t.seed) {
     WAM_EXPECTS(t.clients >= 1 && t.clients <= 32);
+    WAM_EXPECTS(t.shards >= 1);
     seg = fabric.add_segment();
-    if (t.shards > 0) {
+    if (t.shards > 1) {
       shards = std::make_unique<sim::ShardSet>(
           sched, t.shards, fabric.segment_config(seg).latency);
       shards->set_threads(t.shard_threads);
@@ -168,8 +169,7 @@ struct BaselineLan {
       hosts.push_back(std::move(host));
     }
     for (int i = 0; i < t.clients; ++i) {
-      const int shard =
-          (!shards || shards->size() <= 1) ? 0 : 1 + (i % (shards->size() - 1));
+      const int shard = shards ? 1 + (i % (shards->size() - 1)) : 0;
       sim::Scheduler& csched = shards ? shards->shard(shard) : sched;
       auto client = std::make_unique<net::Host>(
           csched, fabric,

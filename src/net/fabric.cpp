@@ -60,7 +60,7 @@ std::uint64_t frame_digest(const Frame& frame) {
 }  // namespace
 
 Fabric::Fabric(sim::Scheduler& sched, sim::Log* log, std::uint64_t seed)
-    : sched_(sched), log_(log, "net/fabric"), rng_(seed), seed_(seed) {}
+    : sched_(sched), log_(log, "net/fabric"), seed_(seed) {}
 
 void Fabric::set_sharding(sim::ShardSet& shards) {
   WAM_EXPECTS(shards_ == nullptr);
@@ -74,10 +74,6 @@ void Fabric::set_sharding(sim::ShardSet& shards) {
   nic_shard_.assign(nics_.size(), 0);
   shard_counters_ =
       std::vector<FabricCounters>(static_cast<std::size_t>(shards.size()));
-  nic_rng_.clear();
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    nic_rng_.push_back(sim::Rng(seed_).stream(1 + i));
-  }
 }
 
 void Fabric::assign_shard(NicId id, int shard) {
@@ -124,7 +120,6 @@ sim::Scheduler& Fabric::sched_of(NicId id) {
 }
 
 sim::Rng& Fabric::tx_rng(NicId sender) {
-  if (shards_ == nullptr) return rng_;
   return nic_rng_[static_cast<std::size_t>(sender)];
 }
 
@@ -163,10 +158,9 @@ NicId Fabric::attach(SegmentId seg, MacAddress mac, DeliverFn deliver) {
   nics_.push_back(Nic{seg, mac, true, 0, std::move(deliver)});
   segments_[static_cast<std::size_t>(seg)].nics.push_back(id);
   journal_.emplace_back();
-  if (shards_ != nullptr) {
-    nic_shard_.push_back(0);
-    nic_rng_.push_back(sim::Rng(seed_).stream(1 + static_cast<std::uint64_t>(id)));
-  }
+  nic_rng_.push_back(
+      sim::Rng(seed_).stream(1 + static_cast<std::uint64_t>(id)));
+  if (shards_ != nullptr) nic_shard_.push_back(0);
   return id;
 }
 

@@ -154,14 +154,14 @@ class Fabric {
 
   // ---- sharded engine hookup (conservative PDES, sim/shard.hpp) ----
   /// Route deliveries through a ShardSet: every NIC is placed on a shard
-  /// (assign_shard, default 0), sends draw loss/jitter from a per-NIC
-  /// sender-side RNG stream — so the draw sequence depends only on the
-  /// sender's own transmit order, never on shard count — and arrivals
-  /// whose sender and receiver live on different shards cross at the
-  /// barrier via ShardSet::post. Requirements: call before traffic flows,
-  /// every segment's base latency >= the shard lookahead (the conservative
-  /// guarantee), and no tap installed. A 1-shard set IS the sequential
-  /// engine — the oracle the equivalence tests compare against.
+  /// (assign_shard, default 0), and arrivals whose sender and receiver
+  /// live on different shards cross at the barrier via ShardSet::post.
+  /// Loss/jitter draws come from the sender NIC's own RNG stream whether
+  /// or not the fabric is sharded, so they depend only on the sender's
+  /// transmit order, never on shard count. Requirements: call before
+  /// traffic flows, every segment's base latency >= the shard lookahead
+  /// (the conservative guarantee), and no tap installed. The unsharded
+  /// fabric is the oracle the equivalence tests compare against.
   void set_sharding(sim::ShardSet& shards);
   [[nodiscard]] bool sharded() const { return shards_ != nullptr; }
   /// Place a NIC on a shard. Quiesced-only (between run_until calls).
@@ -215,14 +215,13 @@ class Fabric {
                          util::SmallFn fn);
   /// The scheduler a NIC's events run on (its shard's, or sched_).
   [[nodiscard]] sim::Scheduler& sched_of(NicId id);
-  /// Sender-side RNG: the per-NIC stream when sharded, else the shared one.
+  /// Sender-side RNG: the sending NIC's own stream, Rng(seed).stream(1+nic).
   [[nodiscard]] sim::Rng& tx_rng(NicId sender);
   /// Counter sink for work done on a NIC's shard thread.
   [[nodiscard]] FabricCounters& ctrs(NicId id);
 
   sim::Scheduler& sched_;
   sim::Logger log_;
-  sim::Rng rng_;
   std::uint64_t seed_;
   std::vector<Segment> segments_;
   std::vector<Nic> nics_;
@@ -235,7 +234,7 @@ class Fabric {
 
   sim::ShardSet* shards_ = nullptr;
   std::vector<int> nic_shard_;      // shard of each NIC (sharded mode)
-  std::vector<sim::Rng> nic_rng_;   // per-NIC sender-side streams
+  std::vector<sim::Rng> nic_rng_;   // per-NIC sender-side streams (always)
   /// Written by each shard's own thread during a window (obs::Counter is
   /// not atomic, so the shared counters_ view cannot be touched there);
   /// folded into counters_ at quiesce points.

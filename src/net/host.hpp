@@ -58,9 +58,8 @@ class Host {
   };
   /// UDP receive callback. The payload is a zero-copy view into the
   /// received frame's refcounted buffer; handlers that keep it only for
-  /// the duration of the call (the normal case) never pay a copy. Legacy
-  /// lambdas taking `const util::Bytes&` still bind — SharedBytes detaches
-  /// (deep-copies) into the temporary at each invocation.
+  /// the duration of the call (the normal case) never pay a copy; one that
+  /// needs a mutable copy calls `payload.to_bytes()`.
   using UdpHandler =
       std::function<void(const UdpContext&, const util::SharedBytes& payload)>;
 

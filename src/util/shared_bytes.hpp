@@ -11,9 +11,8 @@
 // immutable for the lifetime of every view. A writer that wants to modify
 // a payload must detach first — `to_bytes()` produces a private deep copy
 // to mutate, which is then re-wrapped (cheaply, by move) on assignment.
-// The implicit conversion back to util::Bytes performs exactly that
-// detach, so legacy `const util::Bytes&` consumers keep working at the
-// cost of one explicit-in-the-type-system copy.
+// There is deliberately no implicit conversion back to util::Bytes: every
+// deep copy is a visible to_bytes() call.
 #pragma once
 
 #include <cstddef>
@@ -78,11 +77,6 @@ class SharedBytes {
 
   /// Detach: materialize a private, mutable deep copy of the contents.
   [[nodiscard]] Bytes to_bytes() const { return Bytes(begin(), end()); }
-
-  /// Implicit detach for legacy `const util::Bytes&` consumers (e.g. old
-  /// UDP handler lambdas). Deliberately a conversion *operator* so the
-  /// copy is visible in the handler's signature choice, not at call sites.
-  operator Bytes() const { return to_bytes(); }  // NOLINT
 
   /// True when both views alias the same underlying storage (tests use
   /// this to pin the no-deep-copy guarantee).

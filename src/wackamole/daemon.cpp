@@ -195,15 +195,6 @@ void Daemon::on_message(const gcs::GroupMessage& gm) {
   }
   try {
     switch (type) {
-      case WamMsgType::kState:
-        handle_state_msg(gm.sender, to_v2(decode_state(gm.payload)));
-        break;
-      case WamMsgType::kBalance:
-        handle_balance_msg(to_v2(decode_balance(gm.payload)));
-        break;
-      case WamMsgType::kAlloc:
-        handle_balance_msg(to_v2(decode_alloc(gm.payload)));
-        break;
       case WamMsgType::kStateV2:
         handle_state_msg(gm.sender, decode_state_v2(gm.payload));
         break;
@@ -289,9 +280,7 @@ void Daemon::send_state_msg() {
   for (const auto& name : quarantined_) {
     m.quarantined.push_back(intern_group(name));
   }
-  client_.multicast(config_.group, config_.compact_wire
-                                       ? encode_state_v2(m)
-                                       : encode_state(to_v1(m)));
+  client_.multicast(config_.group, encode_state_v2(m));
   ++counters_.state_msgs_sent;
 }
 
@@ -387,10 +376,7 @@ std::size_t Daemon::multicast_allocation(const VipTable& table, bool alloc) {
     }
   }
   client_.multicast(config_.group,
-                    config_.compact_wire
-                        ? (alloc ? encode_alloc_v2(m) : encode_balance_v2(m))
-                        : (alloc ? encode_alloc(to_v1(m))
-                                 : encode_balance(to_v1(m))));
+                    alloc ? encode_alloc_v2(m) : encode_balance_v2(m));
   return m.allocation.size();
 }
 
@@ -521,9 +507,7 @@ bool Daemon::run_balance() {
                               std::make_pair(states[mi].id.daemon.value(),
                                              states[mi].id.client));
   }
-  client_.multicast(config_.group, config_.compact_wire
-                                       ? encode_balance_v2(m)
-                                       : encode_balance(to_v1(m)));
+  client_.multicast(config_.group, encode_balance_v2(m));
   ++counters_.balance_rounds;
   emit(obs::EventType::kBalanceRound,
        {{"groups", std::to_string(m.allocation.size())}});

@@ -212,8 +212,8 @@ class Daemon {
   void handle_notify(const gcs::MemberId& sender, const NotifyMsg& m);
   void finish_gather();
   void send_state_msg();
-  /// Multicast `table` as a BALANCE (or ALLOC) message in group-name order,
-  /// honouring Config::compact_wire. Returns the number of entries sent.
+  /// Multicast `table` as a BALANCE (or ALLOC) message in group-name order.
+  /// Returns the number of entries sent.
   std::size_t multicast_allocation(const VipTable& table, bool alloc);
   void send_notify(const std::string& group, bool fenced,
                    const std::string& reason);

@@ -6,15 +6,18 @@
 
 namespace wam::wackamole {
 
-// peek_type() trusts the [kWamMsgTypeFirst, kWamMsgTypeLast] range derived
-// from the sentinel; this pin breaks the build if an enumerator is ever
-// appended after kAfterLast_ or the codes stop being contiguous from 1.
-static_assert(kWamMsgTypeFirst == 1, "wackamole wire codes start at 1");
+// peek_type() trusts the [1, kWamMsgTypeLast] range derived from the
+// sentinel minus the reserved codes; this pin breaks the build if an
+// enumerator is ever appended after kAfterLast_.
 static_assert(kWamMsgTypeLast ==
                   static_cast<std::uint8_t>(WamMsgType::kAllocV2),
               "kAfterLast_ must stay the final WamMsgType enumerator");
 
 namespace {
+
+/// Codes of the retired v1 STATE, BALANCE and ALLOC bodies. A peer that
+/// still sends them is rejected at the type byte, never misparsed.
+constexpr std::uint8_t kReservedCodes[] = {1, 2, 4};
 
 constexpr std::size_t kTagSize = 8 + 4 + 8;  // epoch, coordinator, group_seq
 
@@ -30,17 +33,6 @@ ViewTag get_tag(util::ByteReader& r) {
   t.coordinator = r.u32();
   t.group_seq = r.u64();
   return t;
-}
-
-std::size_t names_size(const std::vector<std::string>& names) {
-  std::size_t total = 4;  // count
-  for (const auto& n : names) total += 4 + n.size();
-  return total;
-}
-
-void put_names(util::ByteWriter& w, const std::vector<std::string>& names) {
-  w.u32(static_cast<std::uint32_t>(names.size()));
-  for (const auto& n : names) w.str(n);
 }
 
 // A count claiming more elements than the remaining bytes could possibly
@@ -63,14 +55,6 @@ std::uint64_t get_vcount(util::ByteReader& r, std::size_t min_entry) {
   return n;
 }
 
-std::vector<std::string> get_names(util::ByteReader& r) {
-  auto n = get_count(r, 4);  // each name: u32 length prefix
-  std::vector<std::string> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
-}
-
 void check_type(util::ByteReader& r, WamMsgType expected) {
   auto t = r.u8();
   if (t != static_cast<std::uint8_t>(expected)) {
@@ -80,85 +64,6 @@ void check_type(util::ByteReader& r, WamMsgType expected) {
 }
 
 }  // namespace
-
-util::Bytes encode_state(const StateMsg& m) {
-  util::ByteWriter w(1 + kTagSize + 1 + 4 + names_size(m.owned) +
-                     names_size(m.preferred) + names_size(m.quarantined));
-  w.u8(static_cast<std::uint8_t>(WamMsgType::kState));
-  put_tag(w, m.view);
-  w.boolean(m.mature);
-  w.u32(m.weight);
-  put_names(w, m.owned);
-  put_names(w, m.preferred);
-  put_names(w, m.quarantined);
-  return w.take();
-}
-
-StateMsg decode_state(util::ByteView buf) {
-  util::ByteReader r(buf);
-  check_type(r, WamMsgType::kState);
-  StateMsg m;
-  m.view = get_tag(r);
-  m.mature = r.boolean();
-  m.weight = r.u32();
-  m.owned = get_names(r);
-  m.preferred = get_names(r);
-  m.quarantined = get_names(r);
-  r.expect_end();
-  return m;
-}
-
-namespace {
-util::Bytes encode_allocation_body(const BalanceMsg& m, WamMsgType type) {
-  std::size_t size = 1 + kTagSize + 4;
-  for (const auto& [group, owner] : m.allocation) {
-    size += 4 + group.size() + 8;
-  }
-  util::ByteWriter w(size);
-  w.u8(static_cast<std::uint8_t>(type));
-  put_tag(w, m.view);
-  w.u32(static_cast<std::uint32_t>(m.allocation.size()));
-  for (const auto& [group, owner] : m.allocation) {
-    w.str(group);
-    w.u32(owner.first);
-    w.u32(owner.second);
-  }
-  return w.take();
-}
-
-BalanceMsg decode_allocation_body(util::ByteView buf, WamMsgType type) {
-  util::ByteReader r(buf);
-  check_type(r, type);
-  BalanceMsg m;
-  m.view = get_tag(r);
-  auto n = get_count(r, 12);  // name length prefix + two owner u32s
-  m.allocation.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto group = r.str();
-    auto daemon = r.u32();
-    auto client = r.u32();
-    m.allocation.emplace_back(std::move(group), std::make_pair(daemon, client));
-  }
-  r.expect_end();
-  return m;
-}
-}  // namespace
-
-util::Bytes encode_balance(const BalanceMsg& m) {
-  return encode_allocation_body(m, WamMsgType::kBalance);
-}
-
-util::Bytes encode_alloc(const BalanceMsg& m) {
-  return encode_allocation_body(m, WamMsgType::kAlloc);
-}
-
-BalanceMsg decode_balance(util::ByteView buf) {
-  return decode_allocation_body(buf, WamMsgType::kBalance);
-}
-
-BalanceMsg decode_alloc(util::ByteView buf) {
-  return decode_allocation_body(buf, WamMsgType::kAlloc);
-}
 
 // ---- Compact v2 bodies -------------------------------------------------
 //
@@ -384,64 +289,6 @@ BalanceMsgV2 decode_alloc_v2(util::ByteView buf) {
   return decode_allocation_body_v2(buf, WamMsgType::kAllocV2);
 }
 
-namespace {
-std::vector<GroupId> intern_all(const std::vector<std::string>& names) {
-  std::vector<GroupId> out;
-  out.reserve(names.size());
-  for (const auto& n : names) out.push_back(intern_group(n));
-  return out;
-}
-
-std::vector<std::string> resolve_all(const std::vector<GroupId>& ids) {
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (auto id : ids) out.push_back(group_name(id));
-  return out;
-}
-}  // namespace
-
-StateMsgV2 to_v2(const StateMsg& m) {
-  StateMsgV2 out;
-  out.view = m.view;
-  out.mature = m.mature;
-  out.weight = m.weight;
-  out.owned = intern_all(m.owned);
-  out.preferred = intern_all(m.preferred);
-  out.quarantined = intern_all(m.quarantined);
-  return out;
-}
-
-StateMsg to_v1(const StateMsgV2& m) {
-  StateMsg out;
-  out.view = m.view;
-  out.mature = m.mature;
-  out.weight = m.weight;
-  out.owned = resolve_all(m.owned);
-  out.preferred = resolve_all(m.preferred);
-  out.quarantined = resolve_all(m.quarantined);
-  return out;
-}
-
-BalanceMsgV2 to_v2(const BalanceMsg& m) {
-  BalanceMsgV2 out;
-  out.view = m.view;
-  out.allocation.reserve(m.allocation.size());
-  for (const auto& [group, owner] : m.allocation) {
-    out.allocation.emplace_back(intern_group(group), owner);
-  }
-  return out;
-}
-
-BalanceMsg to_v1(const BalanceMsgV2& m) {
-  BalanceMsg out;
-  out.view = m.view;
-  out.allocation.reserve(m.allocation.size());
-  for (const auto& [id, owner] : m.allocation) {
-    out.allocation.emplace_back(group_name(id), owner);
-  }
-  return out;
-}
-
 util::Bytes encode_arp_share(const ArpShareMsg& m) {
   util::ByteWriter w(1 + 4 + 4 * m.ips.size());
   w.u8(static_cast<std::uint8_t>(WamMsgType::kArpShare));
@@ -489,7 +336,12 @@ NotifyMsg decode_notify(util::ByteView buf) {
 WamMsgType peek_type(util::ByteView buf) {
   util::ByteReader r(buf);
   auto t = r.u8();
-  if (t < kWamMsgTypeFirst || t > kWamMsgTypeLast) {
+  if (std::find(std::begin(kReservedCodes), std::end(kReservedCodes), t) !=
+      std::end(kReservedCodes)) {
+    throw util::DecodeError("reserved wackamole message type " +
+                            std::to_string(t));
+  }
+  if (t == 0 || t > kWamMsgTypeLast) {
     throw util::DecodeError("unknown wackamole message type " +
                             std::to_string(t));
   }

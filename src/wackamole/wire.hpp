@@ -33,26 +33,22 @@ struct ViewTag {
   }
 };
 
+/// Wire codes. 1, 2 and 4 are reserved: they carried the retired v1
+/// STATE/BALANCE/ALLOC bodies, are never reused, and peek_type() rejects
+/// them, so the valid codes are not contiguous.
 enum class WamMsgType : std::uint8_t {
-  kState = 1,
-  kBalance = 2,
   kArpShare = 3,
-  /// Representative-driven mode (§4.2): the full allocation computed by the
-  /// representative at the end of GATHER and imposed on the other daemons.
-  /// Same body as BALANCE_MSG.
-  kAlloc = 4,
   /// NOTIFY: "I hold the allocation for <group> but cannot enforce it" —
   /// sent when a daemon exhausts its OS-op retry budget and self-fences, or
   /// (fenced = false) when its quarantine cooldown clears. Peers treat a
   /// fence as a targeted trigger to re-run Reallocate_IPs() excluding the
   /// fenced member for that group.
   kNotify = 5,
-  /// Compact v2 encodings (wire format v2): a per-message name table sent
-  /// once plus varint counts and table indices, instead of repeating
-  /// length-prefixed strings. New CODES rather than a version field inside
-  /// the old ones: a v1-only decoder's peek_type() range ended at kNotify,
-  /// so v2 traffic rejects there with a clean DecodeError instead of being
-  /// misparsed.
+  /// STATE_MSG, BALANCE_MSG and ALLOC: a per-message name table sent once
+  /// plus varint counts and table indices. ALLOC is the representative-
+  /// driven mode's (§4.2) full allocation, computed by the representative
+  /// at the end of GATHER and imposed on the other daemons; same body as
+  /// BALANCE_MSG.
   kStateV2 = 6,
   kBalanceV2 = 7,
   kAllocV2 = 8,
@@ -62,31 +58,9 @@ enum class WamMsgType : std::uint8_t {
   kAfterLast_,
 };
 
-/// First and last codes accepted on the wire, derived from the enum.
-inline constexpr std::uint8_t kWamMsgTypeFirst =
-    static_cast<std::uint8_t>(WamMsgType::kState);
+/// Last code accepted on the wire, derived from the enum.
 inline constexpr std::uint8_t kWamMsgTypeLast =
     static_cast<std::uint8_t>(WamMsgType::kAfterLast_) - 1;
-
-/// STATE_MSG: the sender's local knowledge, sent on every view change.
-struct StateMsg {
-  ViewTag view;
-  bool mature = false;
-  std::uint32_t weight = 1;            // capacity weight for balancing
-  std::vector<std::string> owned;      // VIP groups currently covered
-  std::vector<std::string> preferred;  // startup preferences (§3.4)
-  /// Groups the sender has self-fenced (NOTIFY protocol): carried in
-  /// STATE_MSG so quarantine survives view changes.
-  std::vector<std::string> quarantined;
-};
-
-/// BALANCE_MSG: the representative's full re-allocation decision.
-struct BalanceMsg {
-  ViewTag view;
-  /// group name -> (owner daemon ip, owner client id).
-  std::vector<std::pair<std::string, std::pair<std::uint32_t, std::uint32_t>>>
-      allocation;
-};
 
 /// ARP_SHARE: IPs present in the sender host's ARP cache — the peers that
 /// must be notified when a virtual address moves (router application).
@@ -105,24 +79,27 @@ struct NotifyMsg {
   std::string reason;
 };
 
-/// STATE_MSG in interned form — what the daemon's fast path works with.
-/// The wire encoding (kStateV2) carries a name table once (each distinct
-/// name of the three lists, in first-appearance order — a pure function
-/// of the message content, so the bytes are cross-process deterministic)
-/// plus varint table indices; GroupIds themselves never leave the
-/// process.
+/// STATE_MSG: the sender's local knowledge, sent on every view change, in
+/// interned form. The wire encoding (kStateV2) carries a name table once
+/// (each distinct name of the three lists, in first-appearance order — a
+/// pure function of the message content, so the bytes are cross-process
+/// deterministic) plus varint table indices; GroupIds themselves never
+/// leave the process.
 struct StateMsgV2 {
   ViewTag view;
   bool mature = false;
-  std::uint32_t weight = 1;
-  std::vector<GroupId> owned;
-  std::vector<GroupId> preferred;
+  std::uint32_t weight = 1;             // capacity weight for balancing
+  std::vector<GroupId> owned;           // VIP groups currently covered
+  std::vector<GroupId> preferred;       // startup preferences (§3.4)
+  /// Groups the sender has self-fenced (NOTIFY protocol): carried in
+  /// STATE_MSG so quarantine survives view changes.
   std::vector<GroupId> quarantined;
 };
 
-/// BALANCE_MSG / ALLOC in interned form. The wire encoding (kBalanceV2 /
-/// kAllocV2) dedupes owners into a table — with V groups and M members an
-/// entry shrinks from name+8 bytes to name+~1 byte.
+/// BALANCE_MSG / ALLOC: the representative's full re-allocation decision,
+/// in interned form. The wire encoding (kBalanceV2 / kAllocV2) dedupes
+/// owners into a table — with V groups and M members an entry costs
+/// name+~1 byte instead of name+8.
 struct BalanceMsgV2 {
   ViewTag view;
   /// group id -> (owner daemon ip, owner client id), in the sender's
@@ -131,9 +108,6 @@ struct BalanceMsgV2 {
       allocation;
 };
 
-[[nodiscard]] util::Bytes encode_state(const StateMsg& m);
-[[nodiscard]] util::Bytes encode_balance(const BalanceMsg& m);
-[[nodiscard]] util::Bytes encode_alloc(const BalanceMsg& m);
 [[nodiscard]] util::Bytes encode_arp_share(const ArpShareMsg& m);
 [[nodiscard]] util::Bytes encode_notify(const NotifyMsg& m);
 
@@ -141,22 +115,13 @@ struct BalanceMsgV2 {
 [[nodiscard]] util::Bytes encode_balance_v2(const BalanceMsgV2& m);
 [[nodiscard]] util::Bytes encode_alloc_v2(const BalanceMsgV2& m);
 
-/// Peek the type byte; throws util::DecodeError on empty/unknown input.
+/// Peek the type byte; throws util::DecodeError on empty input and on
+/// unknown or reserved codes.
 [[nodiscard]] WamMsgType peek_type(util::ByteView buf);
-[[nodiscard]] StateMsg decode_state(util::ByteView buf);
-[[nodiscard]] BalanceMsg decode_balance(util::ByteView buf);
-[[nodiscard]] BalanceMsg decode_alloc(util::ByteView buf);
 [[nodiscard]] ArpShareMsg decode_arp_share(util::ByteView buf);
 [[nodiscard]] NotifyMsg decode_notify(util::ByteView buf);
 [[nodiscard]] StateMsgV2 decode_state_v2(util::ByteView buf);
 [[nodiscard]] BalanceMsgV2 decode_balance_v2(util::ByteView buf);
 [[nodiscard]] BalanceMsgV2 decode_alloc_v2(util::ByteView buf);
-
-/// v1 <-> v2 bridges (the string boundary). to_v2 interns; to_v1 resolves
-/// ids back to names. Round-tripping preserves content and order.
-[[nodiscard]] StateMsgV2 to_v2(const StateMsg& m);
-[[nodiscard]] StateMsg to_v1(const StateMsgV2& m);
-[[nodiscard]] BalanceMsgV2 to_v2(const BalanceMsg& m);
-[[nodiscard]] BalanceMsg to_v1(const BalanceMsgV2& m);
 
 }  // namespace wam::wackamole

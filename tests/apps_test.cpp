@@ -30,7 +30,7 @@ TEST_F(AppsTest, EchoRepliesWithHostname) {
   std::string reply;
   util::Bytes echoed;
   client->open_udp(5000, [&](const net::Host::UdpContext&,
-                             const util::Bytes& p) {
+                             const util::SharedBytes& p) {
     util::ByteReader r(p);
     reply = r.str();
     echoed = r.raw(r.remaining());
@@ -51,7 +51,9 @@ TEST_F(AppsTest, EchoRepliesFromTheVipItWasAskedOn) {
   echo.start();
   net::Ipv4Address reply_src;
   client->open_udp(5000, [&](const net::Host::UdpContext& ctx,
-                             const util::Bytes&) { reply_src = ctx.src_ip; });
+                             const util::SharedBytes&) {
+    reply_src = ctx.src_ip;
+  });
   client->send_udp(vip, 9000, 5000, {1});
   sched.run_all();
   EXPECT_EQ(reply_src, vip);

@@ -11,7 +11,6 @@
 #include "apps/cluster_scenario.hpp"
 #include "apps/probe_client.hpp"
 #include "apps/scenario.hpp"
-#include "apps/workload.hpp"
 #include "load/generator.hpp"
 
 namespace wam::apps {
@@ -86,13 +85,17 @@ TEST(TrafficSource, ScenarioAcceptsAnySourcePolymorphically) {
   s.start();
   ASSERT_TRUE(s.run_until_stable(sim::seconds(60.0)));
 
-  // One probe (built from options), one workload, one open-loop load
-  // generator — all through the same attach point.
+  // One probe (built from options) and two differently configured
+  // open-loop load generators — all through the same attach point.
   s.start_probe(0);
-  WorkloadOptions wopt;
-  wopt.targets = {s.vip(1)};
-  wopt.request_interval = sim::milliseconds(20);
-  s.attach_traffic(std::make_unique<Workload>(s.client_host(), wopt));
+  load::LoadOptions steady;
+  steady.vips = {s.vip(1)};
+  steady.flows_per_second = 50.0;
+  steady.poisson = false;
+  steady.long_flow_fraction = 0.0;
+  steady.local_port = 32002;
+  s.attach_traffic(
+      std::make_unique<load::LoadGenerator>(s.client_host(), steady));
   load::LoadOptions lopt;
   lopt.vips = {s.vip(2), s.vip(3)};
   lopt.flows_per_second = 500.0;
@@ -105,7 +108,7 @@ TEST(TrafficSource, ScenarioAcceptsAnySourcePolymorphically) {
   auto total = s.traffic_report();
   EXPECT_GT(total.requests_sent, 0u);
   EXPECT_GT(total.responses, 0u);
-  // All three drivers individually reported traffic.
+  // All three sources individually reported traffic.
   for (const auto& source : s.traffic()) {
     EXPECT_GT(source->report().requests_sent, 0u);
   }

@@ -22,9 +22,9 @@ TEST(AsymmetricFault, FabricDropsOnlyOneDirection) {
   GcsCluster c(2);
   int got_a = 0, got_b = 0;
   c.hosts[0]->open_udp(9, [&](const net::Host::UdpContext&,
-                              const util::Bytes&) { ++got_a; });
+                              const util::SharedBytes&) { ++got_a; });
   c.hosts[1]->open_udp(9, [&](const net::Host::UdpContext&,
-                              const util::Bytes&) { ++got_b; });
+                              const util::SharedBytes&) { ++got_b; });
   // Resolve ARP both ways first.
   c.hosts[0]->send_udp(c.hosts[1]->primary_ip(0), 9, 9, {1});
   c.hosts[1]->send_udp(c.hosts[0]->primary_ip(0), 9, 9, {1});

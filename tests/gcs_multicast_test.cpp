@@ -40,7 +40,8 @@ TEST(GcsMulticast, BystanderHostsSeeNoDaemonTraffic) {
   bystander.add_interface(c.seg, net::Ipv4Address(10, 0, 0, 99), 24);
   std::uint64_t seen = 0;
   bystander.open_udp(c.daemons[0]->config().port,
-                     [&](const net::Host::UdpContext&, const util::Bytes&) {
+                     [&](const net::Host::UdpContext&,
+                         const util::SharedBytes&) {
                        ++seen;
                      });
   c.start_all();
@@ -54,7 +55,8 @@ TEST(GcsMulticast, BroadcastModeDoesLeakByComparison) {
   bystander.add_interface(c.seg, net::Ipv4Address(10, 0, 0, 99), 24);
   std::uint64_t seen = 0;
   bystander.open_udp(c.daemons[0]->config().port,
-                     [&](const net::Host::UdpContext&, const util::Bytes&) {
+                     [&](const net::Host::UdpContext&,
+                         const util::SharedBytes&) {
                        ++seen;
                      });
   c.start_all();

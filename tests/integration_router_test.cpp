@@ -130,14 +130,14 @@ TEST(IntegrationRouter, DbTrafficAlsoTraversesVirtualRouter) {
   // Web server talks to the DB server across segments via its VIP gateway.
   int got = 0;
   s.db_server().open_udp(7777, [&](const net::Host::UdpContext& ctx,
-                                   const util::Bytes&) {
+                                   const util::SharedBytes&) {
     ++got;
     s.db_server().send_udp_from(ctx.dst_ip, ctx.src_ip, ctx.src_port,
                                 ctx.dst_port, {1});
   });
   int replies = 0;
   s.web_server().open_udp(7778, [&](const net::Host::UdpContext&,
-                                    const util::Bytes&) { ++replies; });
+                                    const util::SharedBytes&) { ++replies; });
   s.web_server().send_udp(net::Ipv4Address(192, 168, 0, 20), 7777, 7778, {0});
   s.run(sim::seconds(1.0));
   EXPECT_EQ(got, 1);

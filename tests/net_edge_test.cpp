@@ -38,7 +38,8 @@ TEST_F(NetEdgeTest, LateResponderStillGetsQueuedPackets) {
   b->add_interface(seg, Ipv4Address(10, 0, 0, 2), 24);
   b->set_interface_up(0, false);
   int got = 0;
-  b->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) { ++got; });
+  b->open_udp(7, [&](const Host::UdpContext&,
+                     const util::SharedBytes&) { ++got; });
 
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {2});
@@ -56,7 +57,7 @@ TEST_F(NetEdgeTest, QueuedPacketsPreserveOrder) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
   std::vector<std::uint8_t> order;
-  b->open_udp(7, [&](const Host::UdpContext&, const util::Bytes& p) {
+  b->open_udp(7, [&](const Host::UdpContext&, const util::SharedBytes& p) {
     order.push_back(p[0]);
   });
   for (std::uint8_t i = 0; i < 5; ++i) {
@@ -70,7 +71,7 @@ TEST_F(NetEdgeTest, LoopbackToOwnAliasWorks) {
   auto a = make_host("a", 1);
   a->add_alias(0, Ipv4Address(10, 0, 0, 100));
   int got = 0;
-  a->open_udp(7, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  a->open_udp(7, [&](const Host::UdpContext& ctx, const util::SharedBytes&) {
     ++got;
     EXPECT_EQ(ctx.dst_ip, Ipv4Address(10, 0, 0, 100));
   });
@@ -84,7 +85,8 @@ TEST_F(NetEdgeTest, LoopbackToOwnAliasWorks) {
 TEST_F(NetEdgeTest, SelfAddressedLoopback) {
   auto a = make_host("a", 1);
   int got = 0;
-  a->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) { ++got; });
+  a->open_udp(7, [&](const Host::UdpContext&,
+                     const util::SharedBytes&) { ++got; });
   a->send_udp(a->primary_ip(0), 7, 7, {1});
   sched.run_all();
   EXPECT_EQ(got, 1);
@@ -98,7 +100,7 @@ TEST_F(NetEdgeTest, LongestPrefixWinsAmongInterfaces) {
   auto target = std::make_unique<Host>(sched, fabric, "t");
   target->add_interface(seg2, Ipv4Address(10, 0, 1, 9), 24);
   int got = 0;
-  target->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) {
+  target->open_udp(7, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   // 10.0.1.9 matches both attached networks; must egress the /24.
@@ -129,7 +131,7 @@ TEST_F(NetEdgeTest, AliasOnSecondInterfaceAnswersThere) {
   auto peer = std::make_unique<Host>(sched, fabric, "peer");
   peer->add_interface(seg2, Ipv4Address(192, 168, 1, 2), 24);
   int got = 0;
-  h->open_udp(7, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  h->open_udp(7, [&](const Host::UdpContext& ctx, const util::SharedBytes&) {
     ++got;
     EXPECT_EQ(ctx.ifindex, 1);
   });
@@ -148,7 +150,7 @@ TEST_F(NetEdgeTest, BroadcastIsNotForwarded) {
   auto far = std::make_unique<Host>(sched, fabric, "far");
   far->add_interface(seg2, Ipv4Address(192, 168, 1, 2), 24);
   int got = 0;
-  far->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) {
+  far->open_udp(7, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   a->send_udp_broadcast(0, 7, 7, {1});

@@ -27,7 +27,8 @@ TEST_F(HostTest, UdpBetweenTwoHostsWithArpResolution) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
   std::vector<std::string> got;
-  b->open_udp(9000, [&](const Host::UdpContext& ctx, const util::Bytes& p) {
+  b->open_udp(9000, [&](const Host::UdpContext& ctx,
+                        const util::SharedBytes& p) {
     got.emplace_back(p.begin(), p.end());
     EXPECT_EQ(ctx.src_ip, Ipv4Address(10, 0, 0, 1));
     EXPECT_EQ(ctx.dst_ip, Ipv4Address(10, 0, 0, 2));
@@ -46,7 +47,7 @@ TEST_F(HostTest, UdpBetweenTwoHostsWithArpResolution) {
 TEST_F(HostTest, SecondSendUsesCachedArp) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
-  b->open_udp(9000, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(9000, [](const Host::UdpContext&, const util::SharedBytes&) {});
   a->send_udp(Ipv4Address(10, 0, 0, 2), 9000, 1, {1});
   sched.run_all();
   a->send_udp(Ipv4Address(10, 0, 0, 2), 9000, 1, {2});
@@ -60,10 +61,10 @@ TEST_F(HostTest, ReplyUsesRequestDestinationAsSource) {
   auto b = make_host("b", 2);
   b->add_alias(0, Ipv4Address(10, 0, 0, 100));
   Ipv4Address reply_src;
-  a->open_udp(5555, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  a->open_udp(5555, [&](const Host::UdpContext& ctx, const util::SharedBytes&) {
     reply_src = ctx.src_ip;
   });
-  b->open_udp(9000, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  b->open_udp(9000, [&](const Host::UdpContext& ctx, const util::SharedBytes&) {
     // Answer from the VIP the request was addressed to.
     b->send_udp_from(ctx.dst_ip, ctx.src_ip, ctx.src_port, ctx.dst_port, {1});
   });
@@ -77,7 +78,8 @@ TEST_F(HostTest, AliasReceivesTraffic) {
   auto b = make_host("b", 2);
   b->add_alias(0, Ipv4Address(10, 0, 0, 50));
   int got = 0;
-  b->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) { ++got; });
+  b->open_udp(7, [&](const Host::UdpContext&,
+                     const util::SharedBytes&) { ++got; });
   a->send_udp(Ipv4Address(10, 0, 0, 50), 7, 7, {1});
   sched.run_all();
   EXPECT_EQ(got, 1);
@@ -92,7 +94,7 @@ TEST_F(HostTest, RemovedAliasStopsAnsweringArp) {
   auto vip = Ipv4Address(10, 0, 0, 50);
   b->add_alias(0, vip);
   b->remove_alias(0, vip);
-  b->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(7, [](const Host::UdpContext&, const util::SharedBytes&) {});
   a->send_udp(vip, 7, 7, {1});
   sched.run_all();
   EXPECT_EQ(b->counters().udp_received, 0u);
@@ -105,8 +107,10 @@ TEST_F(HostTest, BroadcastUdpReachesAllListeners) {
   auto b = make_host("b", 2);
   auto c = make_host("c", 3);
   int got_b = 0, got_c = 0;
-  b->open_udp(4803, [&](const Host::UdpContext&, const util::Bytes&) { ++got_b; });
-  c->open_udp(4803, [&](const Host::UdpContext&, const util::Bytes&) { ++got_c; });
+  b->open_udp(4803, [&](const Host::UdpContext&,
+                        const util::SharedBytes&) { ++got_b; });
+  c->open_udp(4803, [&](const Host::UdpContext&,
+                        const util::SharedBytes&) { ++got_c; });
   a->send_udp_broadcast(0, 4803, 4803, {1});
   sched.run_all();
   EXPECT_EQ(got_b, 1);
@@ -152,7 +156,8 @@ TEST_F(HostTest, StaleArpEntryBlackholesUntilSpoofed) {
 
   old_owner->add_alias(0, vip);
   int got = 0;
-  auto handler = [&](const Host::UdpContext&, const util::Bytes&) { ++got; };
+  auto handler = [&](const Host::UdpContext&,
+                     const util::SharedBytes&) { ++got; };
   old_owner->open_udp(7, handler);
   new_owner->open_udp(7, handler);
 
@@ -179,7 +184,8 @@ TEST_F(HostTest, InterfaceDownStopsTraffic) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
   int got = 0;
-  b->open_udp(7, [&](const Host::UdpContext&, const util::Bytes&) { ++got; });
+  b->open_udp(7, [&](const Host::UdpContext&,
+                     const util::SharedBytes&) { ++got; });
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   sched.run_all();
   EXPECT_EQ(got, 1);
@@ -213,7 +219,7 @@ TEST_F(HostTest, DefaultGatewayRoutesOffSubnet) {
 TEST_F(HostTest, ClosedSocketCountsNoSocket) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
-  b->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(7, [](const Host::UdpContext&, const util::SharedBytes&) {});
   b->close_udp(7);
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   sched.run_all();
@@ -222,8 +228,10 @@ TEST_F(HostTest, ClosedSocketCountsNoSocket) {
 
 TEST_F(HostTest, OpenUdpRejectsDuplicatePort) {
   auto a = make_host("a", 1);
-  EXPECT_TRUE(a->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {}));
-  EXPECT_FALSE(a->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {}));
+  EXPECT_TRUE(a->open_udp(7, [](const Host::UdpContext&,
+                                const util::SharedBytes&) {}));
+  EXPECT_FALSE(a->open_udp(7, [](const Host::UdpContext&,
+                                 const util::SharedBytes&) {}));
 }
 
 TEST_F(HostTest, ArpQueueCapBoundsPendingPackets) {

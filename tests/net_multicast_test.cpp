@@ -52,10 +52,10 @@ TEST_F(MulticastTest, OnlyMembersReceive) {
   auto b = make_host("b", 2);
   auto c = make_host("c", 3);
   int got_b = 0, got_c = 0;
-  b->open_udp(7000, [&](const Host::UdpContext&, const util::Bytes&) {
+  b->open_udp(7000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got_b;
   });
-  c->open_udp(7000, [&](const Host::UdpContext&, const util::Bytes&) {
+  c->open_udp(7000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got_c;
   });
   b->join_multicast(0, kGroup);
@@ -70,7 +70,7 @@ TEST_F(MulticastTest, OnlyMembersReceive) {
 TEST_F(MulticastTest, SenderLoopbackOnlyWhenJoined) {
   auto a = make_host("a", 1);
   int got = 0;
-  a->open_udp(7000, [&](const Host::UdpContext&, const util::Bytes&) {
+  a->open_udp(7000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   a->send_udp_multicast(0, kGroup, 7000, 7000, {1});
@@ -86,7 +86,7 @@ TEST_F(MulticastTest, LeaveStopsDelivery) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
   int got = 0;
-  b->open_udp(7000, [&](const Host::UdpContext&, const util::Bytes&) {
+  b->open_udp(7000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   b->join_multicast(0, kGroup);
@@ -103,7 +103,7 @@ TEST_F(MulticastTest, PartitionConfinesMulticast) {
   auto a = make_host("a", 1);
   auto b = make_host("b", 2);
   int got = 0;
-  b->open_udp(7000, [&](const Host::UdpContext&, const util::Bytes&) {
+  b->open_udp(7000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   b->join_multicast(0, kGroup);

@@ -33,7 +33,8 @@ struct RouterTest : ::testing::Test {
 
 TEST_F(RouterTest, ForwardsAcrossSegments) {
   int got = 0;
-  server->open_udp(9000, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  server->open_udp(9000, [&](const Host::UdpContext& ctx,
+                             const util::SharedBytes&) {
     ++got;
     EXPECT_EQ(ctx.src_ip, Ipv4Address(172, 16, 0, 2));
   });
@@ -44,12 +45,13 @@ TEST_F(RouterTest, ForwardsAcrossSegments) {
 }
 
 TEST_F(RouterTest, RoundTripThroughRouter) {
-  server->open_udp(9000, [&](const Host::UdpContext& ctx, const util::Bytes&) {
+  server->open_udp(9000, [&](const Host::UdpContext& ctx,
+                             const util::SharedBytes&) {
     server->send_udp_from(ctx.dst_ip, ctx.src_ip, ctx.src_port, ctx.dst_port,
                           {42});
   });
   int replies = 0;
-  client->open_udp(1, [&](const Host::UdpContext&, const util::Bytes& p) {
+  client->open_udp(1, [&](const Host::UdpContext&, const util::SharedBytes& p) {
     EXPECT_EQ(p[0], 42);
     ++replies;
   });
@@ -61,7 +63,8 @@ TEST_F(RouterTest, RoundTripThroughRouter) {
 TEST_F(RouterTest, TtlExpiryDropsPacket) {
   // Two routers in a loop would decrement TTL to zero; emulate by sending a
   // packet with ttl=1 through the router.
-  server->open_udp(9000, [](const Host::UdpContext&, const util::Bytes&) {});
+  server->open_udp(9000, [](const Host::UdpContext&,
+                            const util::SharedBytes&) {});
   // Craft a ttl=1 packet by sending from a host whose stack we can reach:
   // simplest is via the router's own forward path with a pre-built frame.
   UdpDatagram dgram{1, 9000, {1}};
@@ -91,10 +94,12 @@ TEST_F(RouterTest, VipFailoverAcrossRouterNeedsArpSpoof) {
   server2->set_default_gateway(Ipv4Address(10, 0, 0, 1));
 
   int got1 = 0, got2 = 0;
-  server->open_udp(9000, [&](const Host::UdpContext&, const util::Bytes&) {
+  server->open_udp(9000, [&](const Host::UdpContext&,
+                             const util::SharedBytes&) {
     ++got1;
   });
-  server2->open_udp(9000, [&](const Host::UdpContext&, const util::Bytes&) {
+  server2->open_udp(9000, [&](const Host::UdpContext&,
+                              const util::SharedBytes&) {
     ++got2;
   });
   server->add_alias(0, vip);
@@ -130,7 +135,7 @@ TEST_F(RouterTest, StaticRouteViaSecondRouter) {
                           Ipv4Address(10, 0, 0, 200));
 
   int got = 0;
-  db->open_udp(9000, [&](const Host::UdpContext&, const util::Bytes&) {
+  db->open_udp(9000, [&](const Host::UdpContext&, const util::SharedBytes&) {
     ++got;
   });
   client->send_udp(Ipv4Address(192, 168, 5, 2), 9000, 1, {1});

@@ -25,7 +25,7 @@ struct TraceTest : ::testing::Test {
 };
 
 TEST_F(TraceTest, CapturesArpExchange) {
-  b->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(7, [](const Host::UdpContext&, const util::SharedBytes&) {});
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   sched.run_all();
   EXPECT_EQ(trace.count("ARP who-has 10.0.0.2"), 1u);
@@ -41,7 +41,7 @@ TEST_F(TraceTest, CapturesGratuitousArp) {
 }
 
 TEST_F(TraceTest, DumpIsTimestampedAndOrdered) {
-  b->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(7, [](const Host::UdpContext&, const util::SharedBytes&) {});
   a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   sched.run_all();
   auto dump = trace.dump();
@@ -52,7 +52,7 @@ TEST_F(TraceTest, DumpIsTimestampedAndOrdered) {
 
 TEST_F(TraceTest, CapacityBoundsRing) {
   FrameTrace small(sched, fabric, 4);
-  b->open_udp(7, [](const Host::UdpContext&, const util::Bytes&) {});
+  b->open_udp(7, [](const Host::UdpContext&, const util::SharedBytes&) {});
   for (int i = 0; i < 20; ++i) {
     a->send_udp(Ipv4Address(10, 0, 0, 2), 7, 7, {1});
   }

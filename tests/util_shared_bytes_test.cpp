@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "util/bytes.hpp"
 
 namespace wam::util {
@@ -53,11 +55,13 @@ TEST(SharedBytes, ToBytesDetaches) {
   EXPECT_EQ(copy, (Bytes{1, 2, 3}));
 }
 
-TEST(SharedBytes, ImplicitBytesConversionKeepsLegacyLambdasWorking) {
+TEST(SharedBytes, NoImplicitConversionToBytes) {
+  // A deep copy must be spelled to_bytes(): a handler taking
+  // `const Bytes&` would otherwise copy the payload on every call.
+  static_assert(!std::is_convertible_v<SharedBytes, Bytes>);
+  static_assert(std::is_convertible_v<Bytes, SharedBytes>);
   SharedBytes a{7, 8};
-  // The exact shape of a pre-COW UDP handler.
-  auto legacy = [](const Bytes& payload) { return payload.size(); };
-  EXPECT_EQ(legacy(a), 2u);
+  EXPECT_EQ(a.to_bytes(), (Bytes{7, 8}));
 }
 
 TEST(SharedBytes, EqualityMixesWithBytes) {

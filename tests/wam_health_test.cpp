@@ -106,8 +106,8 @@ TEST_F(HealthTest, SlowServiceRepliesAreStaleNotHealthy) {
   const std::uint16_t port = 9100;
   s->server_host(1).open_udp(
       port, [this, port](const net::Host::UdpContext& ctx,
-                         const util::Bytes& payload) {
-        auto reply = payload;
+                         const util::SharedBytes& payload) {
+        auto reply = payload.to_bytes();
         auto src = ctx.src_ip;
         auto sport = ctx.src_port;
         auto dst = ctx.dst_ip;

@@ -2,40 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include "wackamole/group_ids.hpp"
+
 namespace wam::wackamole {
 namespace {
 
+// STATE/BALANCE round trips at the name boundary: the names a sender
+// interns come back as the same names on the receiver.
 TEST(WamWire, StateRoundTrip) {
-  StateMsg m;
+  StateMsgV2 m;
   m.view = ViewTag{7, 0x0a000001, 3};
   m.mature = true;
-  m.owned = {"a", "b"};
-  m.preferred = {"b"};
-  m.quarantined = {"a"};
-  auto out = decode_state(encode_state(m));
+  m.owned = {intern_group("a"), intern_group("b")};
+  m.preferred = {intern_group("b")};
+  m.quarantined = {intern_group("a")};
+  auto out = decode_state_v2(encode_state_v2(m));
   EXPECT_EQ(out.view, m.view);
   EXPECT_TRUE(out.mature);
-  EXPECT_EQ(out.owned, m.owned);
-  EXPECT_EQ(out.preferred, m.preferred);
+  ASSERT_EQ(out.owned.size(), 2u);
+  EXPECT_EQ(group_name(out.owned[0]), "a");
+  EXPECT_EQ(group_name(out.owned[1]), "b");
+  ASSERT_EQ(out.preferred.size(), 1u);
+  EXPECT_EQ(group_name(out.preferred[0]), "b");
   EXPECT_EQ(out.quarantined, m.quarantined);
 }
 
 TEST(WamWire, StateEmptyLists) {
-  StateMsg m;
-  auto out = decode_state(encode_state(m));
+  StateMsgV2 m;
+  auto out = decode_state_v2(encode_state_v2(m));
   EXPECT_TRUE(out.owned.empty());
   EXPECT_TRUE(out.preferred.empty());
+  EXPECT_TRUE(out.quarantined.empty());
   EXPECT_FALSE(out.mature);
 }
 
 TEST(WamWire, BalanceRoundTrip) {
-  BalanceMsg m;
+  BalanceMsgV2 m;
   m.view = ViewTag{9, 0x0a000002, 1};
-  m.allocation = {{"g1", {0x0a000001, 1}}, {"g2", {0x0a000002, 2}}};
-  auto out = decode_balance(encode_balance(m));
+  m.allocation = {{intern_group("g1"), {0x0a000001, 1}},
+                  {intern_group("g2"), {0x0a000002, 2}}};
+  auto out = decode_balance_v2(encode_balance_v2(m));
   EXPECT_EQ(out.view, m.view);
   ASSERT_EQ(out.allocation.size(), 2u);
-  EXPECT_EQ(out.allocation[0].first, "g1");
+  EXPECT_EQ(group_name(out.allocation[0].first), "g1");
   EXPECT_EQ(out.allocation[0].second.first, 0x0a000001u);
   EXPECT_EQ(out.allocation[1].second.second, 2u);
 }
@@ -69,8 +78,9 @@ TEST(WamWire, NotifyRoundTrip) {
 }
 
 TEST(WamWire, PeekTypeDispatch) {
-  EXPECT_EQ(peek_type(encode_state(StateMsg{})), WamMsgType::kState);
-  EXPECT_EQ(peek_type(encode_balance(BalanceMsg{})), WamMsgType::kBalance);
+  EXPECT_EQ(peek_type(encode_state_v2(StateMsgV2{})), WamMsgType::kStateV2);
+  EXPECT_EQ(peek_type(encode_balance_v2(BalanceMsgV2{})),
+            WamMsgType::kBalanceV2);
   EXPECT_EQ(peek_type(encode_arp_share(ArpShareMsg{})), WamMsgType::kArpShare);
   EXPECT_EQ(peek_type(encode_notify(NotifyMsg{})), WamMsgType::kNotify);
 }
@@ -81,16 +91,16 @@ TEST(WamWire, PeekRejectsGarbage) {
 }
 
 TEST(WamWire, DecodeWrongTypeThrows) {
-  auto bytes = encode_state(StateMsg{});
-  EXPECT_THROW(decode_balance(bytes), util::DecodeError);
+  auto bytes = encode_state_v2(StateMsgV2{});
+  EXPECT_THROW(decode_balance_v2(bytes), util::DecodeError);
 }
 
 TEST(WamWire, DecodeTruncatedThrows) {
-  StateMsg m;
-  m.owned = {"a"};
-  auto bytes = encode_state(m);
+  StateMsgV2 m;
+  m.owned = {intern_group("a")};
+  auto bytes = encode_state_v2(m);
   bytes.resize(bytes.size() - 1);
-  EXPECT_THROW(decode_state(bytes), util::DecodeError);
+  EXPECT_THROW(decode_state_v2(bytes), util::DecodeError);
 }
 
 TEST(WamWire, ViewTagOrderingAndEquality) {

@@ -1,8 +1,7 @@
 // Wire format v2: compact STATE/BALANCE/ALLOC bodies (per-message name
-// table + varint indices). Pins round-trips, the v1<->v2 bridges, the
-// cross-process determinism of the encoded bytes (sorted by NAME, never by
-// process-local GroupId), version rejection by v1-only decoders, and the
-// claimed size win over the v1 encodings.
+// table + varint indices). Pins round-trips, the cross-process determinism
+// of the encoded bytes (sorted by NAME, never by process-local GroupId),
+// rejection of the retired v1 codes, and the size win over the v1 layout.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,37 +68,18 @@ TEST(WamWireV2, PeekTypeSeesTheNewCodes) {
             WamMsgType::kAllocV2);
 }
 
-// A v1-only decoder fed v2 bytes must reject at the type byte with a clean
-// DecodeError — new message CODES are the version mechanism.
-TEST(WamWireV2, V1DecodersRejectV2Bytes) {
-  auto state2 = encode_state_v2(sample_state());
-  auto balance2 = encode_balance_v2(sample_balance());
-  auto alloc2 = encode_alloc_v2(sample_balance());
-  EXPECT_THROW((void)decode_state(state2), util::DecodeError);
-  EXPECT_THROW((void)decode_balance(balance2), util::DecodeError);
-  EXPECT_THROW((void)decode_alloc(alloc2), util::DecodeError);
-  // ...and vice versa: a v2 decoder does not misparse v1 bytes.
-  EXPECT_THROW((void)decode_state_v2(encode_state(to_v1(sample_state()))),
-               util::DecodeError);
-}
-
-TEST(WamWireV2, BridgesRoundTripContentAndOrder) {
-  auto m2 = sample_state();
-  auto m1 = to_v1(m2);
-  EXPECT_EQ(m1.owned,
-            (std::vector<std::string>{"vip-alpha", "vip-beta", "vip-gamma"}));
-  EXPECT_EQ(m1.preferred, (std::vector<std::string>{"vip-beta", "vip-delta"}));
-  auto back = to_v2(m1);
-  EXPECT_EQ(back.owned, m2.owned);
-  EXPECT_EQ(back.preferred, m2.preferred);
-  EXPECT_EQ(back.quarantined, m2.quarantined);
-
-  auto b2 = sample_balance();
-  auto b1 = to_v1(b2);
-  ASSERT_EQ(b1.allocation.size(), b2.allocation.size());
-  EXPECT_EQ(b1.allocation[0].first, "vip-alpha");
-  EXPECT_EQ(b1.allocation[0].second, b2.allocation[0].second);
-  EXPECT_EQ(to_v2(b1).allocation, b2.allocation);
+// The retired v1 STATE (1), BALANCE (2) and ALLOC (4) codes are reserved:
+// a peer still sending them is rejected at the type byte, never misparsed,
+// while the codes around them (ARP_SHARE 3, NOTIFY 5) stay valid.
+TEST(WamWireV2, ReservedV1CodesAreRejected) {
+  for (std::uint8_t code : {1, 2, 4}) {
+    util::Bytes bytes{code, 0, 0, 0, 0};
+    EXPECT_THROW((void)peek_type(bytes), util::DecodeError) << int{code};
+  }
+  EXPECT_EQ(peek_type(util::Bytes{3}), WamMsgType::kArpShare);
+  EXPECT_EQ(peek_type(util::Bytes{5}), WamMsgType::kNotify);
+  EXPECT_THROW((void)peek_type(util::Bytes{0}), util::DecodeError);
+  EXPECT_THROW((void)peek_type(util::Bytes{9}), util::DecodeError);
 }
 
 // The encoded bytes must not depend on intern order (GroupIds are
@@ -139,6 +119,31 @@ TEST(WamWireV2, BytesAreInternOrderIndependent) {
   EXPECT_EQ(encode_state_v2(m), bytes);
 }
 
+// Size of the retired v1 bodies, which repeated a u32-length-prefixed
+// name per entry: STATE = type, tag, mature, u32 weight, then three
+// u32-counted name lists; BALANCE = type, tag, u32 count, then per entry
+// a name and two u32 owner fields.
+constexpr std::size_t kV1Head = 1 + 8 + 4 + 8;
+
+std::size_t v1_names_size(const std::vector<GroupId>& ids) {
+  std::size_t total = 4;
+  for (auto id : ids) total += 4 + group_name(id).size();
+  return total;
+}
+
+std::size_t v1_state_size(const StateMsgV2& m) {
+  return kV1Head + 1 + 4 + v1_names_size(m.owned) +
+         v1_names_size(m.preferred) + v1_names_size(m.quarantined);
+}
+
+std::size_t v1_balance_size(const BalanceMsgV2& m) {
+  std::size_t total = kV1Head + 4;
+  for (const auto& [id, owner] : m.allocation) {
+    total += 4 + group_name(id).size() + 8;
+  }
+  return total;
+}
+
 TEST(WamWireV2, CompactBodiesBeatV1AtScale) {
   // 64 members x 512 groups with realistic heap-allocated names: the
   // regime the compact format exists for.
@@ -155,11 +160,11 @@ TEST(WamWireV2, CompactBodiesBeatV1AtScale) {
     b.allocation.emplace_back(
         id, std::make_pair(0x0a000000u + (i % 64), 1u + (i % 64)));
   }
-  auto v1_state = encode_state(to_v1(s)).size();
+  auto v1_state = v1_state_size(s);
   auto v2_state = encode_state_v2(s).size();
   EXPECT_LT(v2_state, v1_state / 2)
       << "v2 STATE must at least halve the duplicated-name v1 body";
-  auto v1_balance = encode_balance(to_v1(b)).size();
+  auto v1_balance = v1_balance_size(b);
   auto v2_balance = encode_balance_v2(b).size();
   EXPECT_LT(v2_balance, v1_balance);
 }

@@ -9,7 +9,11 @@
 //
 // Exit status is non-zero iff any seed produced a Property 1/2 violation;
 // each violating seed prints its violations, the shrunk schedule and the
-// DSL replay artifact, so CI failures are immediately reproducible.
+// DSL replay artifact, so CI failures are immediately reproducible: save
+// an artifact (it carries its `seed` line) and run it with scenario_runner,
+// which replays it through the same executor and oracle. With --dsl or
+// --replay, stdout carries only the artifacts / timelines and the report
+// goes to stderr, so `--seed N --quiet --dsl > a.scn` is replayable as is.
 //
 // --jobs N fans the (seed, profile) list out over N threads; results are
 // buffered and reported in seed order, so stdout is byte-identical to a
@@ -56,30 +60,32 @@ bool parse_u64(const char* s, std::uint64_t& out) {
   return end && *end == '\0' && end != s;
 }
 
-void report(const wam::chaos::CampaignResult& r, const CliOptions& cli) {
+void report(const wam::chaos::CampaignResult& r, const CliOptions& cli,
+            std::FILE* info) {
   using wam::chaos::profile_name;
   if (r.passed()) {
     if (!cli.quiet) {
-      std::printf("seed %llu %s: OK (%zu actions, %zu checkpoints)\n",
-                  static_cast<unsigned long long>(r.seed),
-                  profile_name(r.profile), r.schedule.actions.size(),
-                  r.schedule.checkpoints.size());
+      std::fprintf(info, "seed %llu %s: OK (%zu actions, %zu checkpoints)\n",
+                   static_cast<unsigned long long>(r.seed),
+                   profile_name(r.profile), r.schedule.actions.size(),
+                   r.schedule.checkpoints.size());
     }
   } else {
-    std::printf("seed %llu %s: %zu VIOLATION(S)\n",
-                static_cast<unsigned long long>(r.seed),
-                profile_name(r.profile), r.violations.size());
+    std::fprintf(info, "seed %llu %s: %zu VIOLATION(S)\n",
+                 static_cast<unsigned long long>(r.seed),
+                 profile_name(r.profile), r.violations.size());
     for (const auto& v : r.violations) {
-      std::printf("  %s\n", wam::chaos::to_string(v).c_str());
+      std::fprintf(info, "  %s\n", wam::chaos::to_string(v).c_str());
     }
     if (!r.shrunk_actions.empty()) {
-      std::printf(
-          "  shrunk to %zu/%zu actions (%d replays); minimal schedule:\n",
+      std::fprintf(
+          info, "  shrunk to %zu/%zu actions (%d replays); minimal schedule:\n",
           r.shrunk_actions.size(), r.schedule.actions.size(),
           r.shrink_evaluations);
-      std::printf("%s", r.shrunk_dsl.c_str());
+      std::fprintf(info, "%s", r.shrunk_dsl.c_str());
     }
-    std::printf("  full replay artifact (scenario DSL):\n%s", r.dsl.c_str());
+    std::fprintf(info, "  full replay artifact (scenario DSL):\n%s",
+                 r.dsl.c_str());
   }
   if (cli.print_dsl) std::printf("%s", r.dsl.c_str());
   if (cli.print_timeline) std::printf("%s\n", r.timeline_json.c_str());
@@ -176,10 +182,11 @@ int main(int argc, char** argv) {
   wam::chaos::ParallelRunner runner(cli.jobs);
   auto results = runner.run(work);
 
+  std::FILE* info = cli.print_dsl || cli.print_timeline ? stderr : stdout;
   int failures = 0;
   std::vector<double> recon;
   for (const auto& r : results) {
-    report(r, cli);
+    report(r, cli, info);
     if (!r.passed()) ++failures;
     recon.insert(recon.end(), r.reconvergence_ms.begin(),
                  r.reconvergence_ms.end());
@@ -191,11 +198,13 @@ int main(int argc, char** argv) {
     auto pct = [&](double p) {
       return recon[static_cast<std::size_t>(p * (recon.size() - 1))];
     };
-    std::printf(
+    std::fprintf(
+        info,
         "reconvergence: %zu sample(s), min %.0f ms, p50 %.0f ms, "
         "p90 %.0f ms, max %.0f ms\n",
         recon.size(), recon.front(), pct(0.5), pct(0.9), recon.back());
   }
-  std::printf("%zu run(s), %d with violations\n", results.size(), failures);
+  std::fprintf(info, "%zu run(s), %d with violations\n", results.size(),
+               failures);
   return failures == 0 ? 0 : 1;
 }

@@ -5,13 +5,17 @@
 //   ./scenario_runner myfile.scn            # runs your script
 //   ./scenario_runner --trace [myfile.scn]  # also dump the frame trace tail
 //
-// See src/apps/scenario.hpp for the DSL reference.
+// A chaos artifact (`chaos_campaign --seed N --dsl`) replays through the
+// campaign's own executor and oracle; --trace applies to hand-written
+// scenarios only. Exit status: 0 clean, 1 oracle violation, 2 bad input.
+// See src/chaos/dsl.hpp for the DSL reference.
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
-#include "apps/scenario.hpp"
+#include "chaos/campaign.hpp"
 
 namespace {
 
@@ -65,9 +69,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    bool ok = wam::apps::run_scenario(text, std::cout, trace_tail);
-    return ok ? 0 : 1;
-  } catch (const wam::apps::ScriptError& e) {
+    auto script = wam::chaos::parse_dsl(text);
+    return wam::chaos::run_dsl(script, std::cout, nullptr, trace_tail).empty()
+               ? 0
+               : 1;
+  } catch (const std::invalid_argument& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }

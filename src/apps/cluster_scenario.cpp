@@ -209,7 +209,9 @@ void ClusterScenario::reconnect_server(int i) {
 }
 
 void ClusterScenario::graceful_leave(int i) {
-  wams_[static_cast<std::size_t>(i)]->graceful_shutdown();
+  auto& w = *wams_[static_cast<std::size_t>(i)];
+  if (!w.running() || !w.connected()) return;
+  w.graceful_shutdown();
 }
 
 void ClusterScenario::partition(const std::vector<std::vector<int>>& groups) {

@@ -89,6 +89,8 @@ class ClusterScenario {
   /// experimental server access the network."
   void disconnect_server(int i);
   void reconnect_server(int i);
+  /// Graceful Wackamole shutdown on server i. No-op unless the daemon is
+  /// running and connected to its GCS daemon.
   void graceful_leave(int i);
   void partition(const std::vector<std::vector<int>>& groups);
   void merge();

@@ -136,20 +136,26 @@ void RouterScenario::start_probe() {
 }
 
 void RouterScenario::fail_router(int i) {
-  routers_[static_cast<std::size_t>(i)]->fail();
+  auto& r = *routers_[static_cast<std::size_t>(i)];
+  if (!r.is_up()) return;
+  r.fail();
   obs.emit(sched.now(), obs::EventType::kFaultInjected, "scenario",
            {{"kind", "router_fail"}, {"router", "s" + std::to_string(i + 1)}});
 }
 
 void RouterScenario::recover_router(int i) {
-  routers_[static_cast<std::size_t>(i)]->recover();
+  auto& r = *routers_[static_cast<std::size_t>(i)];
+  if (r.is_up()) return;
+  r.recover();
   obs.emit(sched.now(), obs::EventType::kFaultHealed, "scenario",
            {{"kind", "router_recover"},
             {"router", "s" + std::to_string(i + 1)}});
 }
 
 void RouterScenario::graceful_leave(int i) {
-  wams_[static_cast<std::size_t>(i)]->graceful_shutdown();
+  auto& w = *wams_[static_cast<std::size_t>(i)];
+  if (!w.running() || !w.connected()) return;
+  w.graceful_shutdown();
 }
 
 void RouterScenario::rejoin(int i) {

@@ -60,8 +60,11 @@ class RouterScenario {
   /// scenario-generic. The router world always runs sequentially.
   void advance_to(sim::TimePoint t) { sched.run_until(t); }
 
+  /// Fail / recover router i's host. No-op if it is already down / up.
   void fail_router(int i);
   void recover_router(int i);
+  /// Graceful Wackamole shutdown on router i. No-op unless the daemon is
+  /// running and connected to its GCS daemon.
   void graceful_leave(int i);
   /// Restart a Wackamole daemon after graceful_leave(). No-op if running.
   void rejoin(int i);

@@ -1,121 +1,92 @@
 #include "chaos/campaign.hpp"
 
+#include <memory>
+
 #include "apps/cluster_scenario.hpp"
 #include "apps/router_scenario.hpp"
+#include "net/trace.hpp"
 #include "util/assert.hpp"
 
 namespace wam::chaos {
 
 namespace {
 
-// Dispatchers mirror ClusterFaultModel/RouterFaultModel::apply exactly:
-// every action inapplicable in the current state is a no-op, so shrunk
-// subsequences execute cleanly.
+/// The `coverage` report: which up servers hold each VIP.
+void print_coverage(apps::ClusterScenario& s, std::ostream& out) {
+  for (int k = 0; k < s.options().num_vips; ++k) {
+    std::string owners;
+    for (int i = 0; i < s.num_servers(); ++i) {
+      const auto& host = s.server_host(i);
+      if (host.is_up() && host.owns_ip(s.vip(k))) owners += " " + host.name();
+    }
+    out << "    " << s.vip(k).to_string() << " ->"
+        << (owners.empty() ? " (unreachable)" : owners) << "\n";
+  }
+}
+
+// The dispatchers: one scenario call per kind. The scenario API makes every
+// action inapplicable in the current state a no-op, exactly as
+// ClusterFaultModel/RouterFaultModel::apply assume, so shrunk subsequences
+// execute cleanly. `out` receives the status/coverage reports of
+// hand-written scenarios.
 
 void apply_cluster(apps::ClusterScenario& s, const FaultAction& a,
-                   ReconvergenceOracle* recon = nullptr) {
+                   ReconvergenceOracle* recon, std::ostream* out) {
+  const int i = a.servers.empty() ? -1 : a.servers[0];
+  // Corruption injections report whether they actually applied (target
+  // running, connected, non-IDLE); only applied ones create
+  // reconvergence obligations — a no-op corruption obliges nobody.
+  auto injected = [&](bool applied) {
+    if (applied && recon != nullptr) recon->on_applied(s, a);
+  };
   switch (a.kind) {
-    case FaultKind::kPartition:
-      s.partition(a.groups);
-      break;
-    case FaultKind::kMerge:
-      s.merge();
-      break;
-    case FaultKind::kNicDown:
-      s.disconnect_server(a.servers[0]);
-      break;
-    case FaultKind::kNicUp:
-      s.reconnect_server(a.servers[0]);
-      break;
-    case FaultKind::kCrash:
-      s.crash_daemon(a.servers[0]);
-      break;
-    case FaultKind::kRestart:
-      s.restart_daemon(a.servers[0]);
-      break;
-    case FaultKind::kLeave: {
-      auto& w = s.wam(a.servers[0]);
-      if (w.running() && w.connected()) s.graceful_leave(a.servers[0]);
-      break;
-    }
-    case FaultKind::kJoin:
-      s.rejoin(a.servers[0]);
-      break;
-    case FaultKind::kDrop:
-      s.block_path(a.servers[0], a.servers[1]);
-      break;
-    case FaultKind::kUndrop:
-      s.clear_blocked_paths();
-      break;
-    case FaultKind::kLoss:
-      s.set_loss(a.value);
-      break;
-    case FaultKind::kOsFail:
-      s.set_os_fail(a.servers[0], a.value);
-      break;
-    case FaultKind::kOsFailSticky:
-      s.set_os_fail_sticky(a.servers[0]);
-      break;
-    case FaultKind::kArpLose:
-      s.set_arp_lose(a.servers[0], true);
-      break;
-    case FaultKind::kOsHeal:
-      s.heal_os(a.servers[0]);
-      break;
-    // Corruption injections report whether they actually applied (target
-    // running, connected, non-IDLE); only applied ones create
-    // reconvergence obligations — a no-op corruption obliges nobody.
+    case FaultKind::kPartition: s.partition(a.groups); break;
+    case FaultKind::kMerge: s.merge(); break;
+    case FaultKind::kNicDown: s.disconnect_server(i); break;
+    case FaultKind::kNicUp: s.reconnect_server(i); break;
+    case FaultKind::kCrash: s.crash_daemon(i); break;
+    case FaultKind::kRestart: s.restart_daemon(i); break;
+    case FaultKind::kLeave: s.graceful_leave(i); break;
+    case FaultKind::kJoin: s.rejoin(i); break;
+    case FaultKind::kDrop: s.block_path(i, a.servers[1]); break;
+    case FaultKind::kUndrop: s.clear_blocked_paths(); break;
+    case FaultKind::kLoss: s.set_loss(a.value); break;
+    case FaultKind::kOsFail: s.set_os_fail(i, a.value); break;
+    case FaultKind::kOsFailSticky: s.set_os_fail_sticky(i); break;
+    case FaultKind::kArpLose: s.set_arp_lose(i, true); break;
+    case FaultKind::kOsHeal: s.heal_os(i); break;
     case FaultKind::kCorruptVipOwner:
-      if (s.corrupt_vip_owner(a.servers[0], static_cast<int>(a.value)) &&
-          recon != nullptr) {
-        recon->on_applied(s, a);
-      }
+      injected(s.corrupt_vip_owner(i, static_cast<int>(a.value)));
       break;
     case FaultKind::kCorruptIndex:
-      if (s.corrupt_index(a.servers[0], static_cast<int>(a.value)) &&
-          recon != nullptr) {
-        recon->on_applied(s, a);
+      injected(s.corrupt_index(i, static_cast<int>(a.value)));
+      break;
+    case FaultKind::kStaleIncarnation: injected(s.stale_incarnation(i)); break;
+    case FaultKind::kFlipViewId: injected(s.flip_view_id(i)); break;
+    case FaultKind::kReconfigStorm: s.reconfig_storm(i); break;
+    case FaultKind::kProbe: s.start_probe(static_cast<int>(a.value)); break;
+    case FaultKind::kBalance:
+      for (int k = 0; k < s.num_servers(); ++k) {
+        if (s.wam(k).trigger_balance()) break;
       }
       break;
-    case FaultKind::kStaleIncarnation:
-      if (s.stale_incarnation(a.servers[0]) && recon != nullptr) {
-        recon->on_applied(s, a);
-      }
+    case FaultKind::kStatus:
+      if (out) *out << wackamole::AdminControl(s.wam(i)).execute("status");
       break;
-    case FaultKind::kFlipViewId:
-      if (s.flip_view_id(a.servers[0]) && recon != nullptr) {
-        recon->on_applied(s, a);
-      }
-      break;
-    case FaultKind::kReconfigStorm:
-      s.reconfig_storm(a.servers[0]);
+    case FaultKind::kCoverage:
+      if (out) print_coverage(s, *out);
       break;
   }
 }
 
 void apply_router(apps::RouterScenario& s, const FaultAction& a) {
   switch (a.kind) {
-    case FaultKind::kNicDown:
-      if (s.router_host(a.servers[0]).is_up()) s.fail_router(a.servers[0]);
-      break;
-    case FaultKind::kNicUp:
-      if (!s.router_host(a.servers[0]).is_up()) {
-        s.recover_router(a.servers[0]);
-      }
-      break;
-    case FaultKind::kLeave: {
-      auto& w = s.wam(a.servers[0]);
-      if (w.running() && w.connected()) s.graceful_leave(a.servers[0]);
-      break;
-    }
-    case FaultKind::kJoin:
-      s.rejoin(a.servers[0]);
-      break;
-    case FaultKind::kLoss:
-      s.set_loss(a.value);
-      break;
-    default:
-      break;  // not generated for the router profile
+    case FaultKind::kNicDown: s.fail_router(a.servers[0]); break;
+    case FaultKind::kNicUp: s.recover_router(a.servers[0]); break;
+    case FaultKind::kLeave: s.graceful_leave(a.servers[0]); break;
+    case FaultKind::kJoin: s.rejoin(a.servers[0]); break;
+    case FaultKind::kLoss: s.set_loss(a.value); break;
+    default: break;  // not generated for the router profile
   }
 }
 
@@ -183,6 +154,49 @@ void extract_reconvergence_ms(const obs::EventTimeline& timeline,
   }
 }
 
+/// Step a started cluster world through `actions` and the schedule's
+/// checkpoints, judged by the campaign's fault model and oracles.
+/// `narrate` (hand-written scenarios) gets a line per action plus the
+/// status/coverage reports.
+std::vector<Violation> run_cluster(apps::ClusterScenario& s,
+                                   const FaultSchedule& schedule,
+                                   const std::vector<FaultAction>& actions,
+                                   std::string* timeline_json,
+                                   std::ostream* narrate) {
+  ClusterFaultModel model(schedule.num_servers);
+  PairPersistenceFilter pair_filter;
+  ReconvergenceOracle recon;
+  return drive(
+      s, schedule, actions,
+      [&](const FaultAction& a) {
+        if (narrate != nullptr) {
+          *narrate << "t=" << sim::to_seconds(a.at) << "s  "
+                   << fault_kind_verb(a.kind) << "\n";
+        }
+        apply_cluster(s, a, schedule.state_faults ? &recon : nullptr,
+                      narrate);
+        model.apply(a);
+      },
+      [&](const Checkpoint& cp, std::vector<Violation>& out) {
+        if (schedule.state_faults) {
+          // Reconvergence obligations bypass the pair filter: they are
+          // judged exactly once, at the first checkpoint after injection.
+          recon.check(s, cp.regression_guard, out);
+        }
+        if (!schedule.os_faults && !schedule.state_faults) {
+          check_cluster_invariants(s, model, cp.regression_guard, out);
+          return;
+        }
+        // Fault-injection runs: coverage violations must persist across
+        // the checkpoint pair — a hole inside one retry/fence/NOTIFY
+        // window is bounded convergence, not a bug.
+        std::vector<Violation> found;
+        check_cluster_invariants(s, model, cp.regression_guard, found);
+        pair_filter.apply(cp.regression_guard, std::move(found), out);
+      },
+      timeline_json);
+}
+
 std::vector<Violation> execute_cluster(const FaultSchedule& schedule,
                                        const std::vector<FaultAction>& actions,
                                        std::uint64_t fabric_seed,
@@ -217,34 +231,7 @@ std::vector<Violation> execute_cluster(const FaultSchedule& schedule,
   apps::ClusterScenario s(copts);
   s.start();
   s.run_until_stable(sim::seconds(8.0));  // actions start at t = 10 s
-
-  ClusterFaultModel model(schedule.num_servers);
-  PairPersistenceFilter pair_filter;
-  ReconvergenceOracle recon;
-  auto violations = drive(
-      s, schedule, actions,
-      [&](const FaultAction& a) {
-        apply_cluster(s, a, schedule.state_faults ? &recon : nullptr);
-        model.apply(a);
-      },
-      [&](const Checkpoint& cp, std::vector<Violation>& out) {
-        if (schedule.state_faults) {
-          // Reconvergence obligations bypass the pair filter: they are
-          // judged exactly once, at the first checkpoint after injection.
-          recon.check(s, cp.regression_guard, out);
-        }
-        if (!schedule.os_faults && !schedule.state_faults) {
-          check_cluster_invariants(s, model, cp.regression_guard, out);
-          return;
-        }
-        // Fault-injection runs: coverage violations must persist across
-        // the checkpoint pair — a hole inside one retry/fence/NOTIFY
-        // window is bounded convergence, not a bug.
-        std::vector<Violation> found;
-        check_cluster_invariants(s, model, cp.regression_guard, found);
-        pair_filter.apply(cp.regression_guard, std::move(found), out);
-      },
-      timeline_json);
+  auto violations = run_cluster(s, schedule, actions, timeline_json, nullptr);
   if (reconvergence_ms != nullptr && schedule.state_faults) {
     extract_reconvergence_ms(s.timeline, *reconvergence_ms);
   }
@@ -263,7 +250,6 @@ std::vector<Violation> execute_router(const FaultSchedule& schedule,
   s.run(sim::seconds(8.0));
 
   RouterFaultModel model(schedule.num_servers);
-  PairPersistenceFilter pair_filter;
   return drive(
       s, schedule, actions,
       [&](const FaultAction& a) {
@@ -271,15 +257,19 @@ std::vector<Violation> execute_router(const FaultSchedule& schedule,
         model.apply(a);
       },
       [&](const Checkpoint& cp, std::vector<Violation>& out) {
-        if (!schedule.os_faults) {
-          check_router_invariants(s, model, cp.regression_guard, out);
-          return;
-        }
-        std::vector<Violation> found;
-        check_router_invariants(s, model, cp.regression_guard, found);
-        pair_filter.apply(cp.regression_guard, std::move(found), out);
+        check_router_invariants(s, model, cp.regression_guard, out);
       },
       timeline_json);
+}
+
+/// The replay artifact: the schedule's DSL with the fabric seed after its
+/// `chaos` line.
+std::string artifact(const FaultSchedule& schedule,
+                     std::uint64_t fabric_seed) {
+  std::string dsl = to_dsl(schedule);
+  dsl.insert(dsl.find('\n') + 1,
+             "seed " + std::to_string(fabric_seed) + "\n");
+  return dsl;
 }
 
 }  // namespace
@@ -313,7 +303,7 @@ CampaignResult run_seed(std::uint64_t seed, Profile profile,
   r.schedule = profile == Profile::kCluster
                    ? generate_cluster_schedule(gen_rng, opt.generator)
                    : generate_router_schedule(gen_rng, opt.generator);
-  r.dsl = to_dsl(r.schedule);
+  r.dsl = artifact(r.schedule, fabric_seed);
   r.violations =
       execute_schedule(r.schedule, r.schedule.actions, fabric_seed,
                        &r.timeline_json, opt.shards, opt.shard_threads,
@@ -331,9 +321,50 @@ CampaignResult run_seed(std::uint64_t seed, Profile profile,
     r.shrink_evaluations = shrunk.evaluations;
     FaultSchedule mini = r.schedule;
     mini.actions = r.shrunk_actions;
-    r.shrunk_dsl = to_dsl(mini);
+    r.shrunk_dsl = artifact(mini, fabric_seed);
   }
   return r;
+}
+
+std::vector<Violation> run_dsl(const DslScript& script, std::ostream& out,
+                               std::string* timeline_json,
+                               std::size_t trace_tail) {
+  FaultSchedule schedule = script.schedule;
+  std::vector<Violation> violations;
+  if (script.chaos) {
+    out << "chaos replay: " << (schedule.router_profile ? "router" : "cluster")
+        << " profile, " << schedule.actions.size() << " actions, "
+        << schedule.checkpoints.size() << " checks, seed " << script.world.seed
+        << "\n";
+    violations = execute_schedule(schedule, schedule.actions,
+                                  script.world.seed, timeline_json);
+  } else {
+    // The trace outlives the scenario: daemons still send frames through
+    // the fabric's tap while the scenario is torn down.
+    std::unique_ptr<net::FrameTrace> trace;
+    apps::ClusterScenario s(script.world);
+    if (trace_tail > 0) {
+      trace = std::make_unique<net::FrameTrace>(s.sched, s.fabric, trace_tail);
+    }
+    s.start();
+    s.run_until_stable(sim::seconds(60.0));
+    out << "cluster up: " << schedule.num_servers << " servers, "
+        << schedule.num_vips << " VIPs\n";
+    schedule.checkpoints.push_back({schedule.horizon, false});  // the end
+    violations =
+        run_cluster(s, schedule, schedule.actions, timeline_json, &out);
+    out << "final coverage:\n";
+    print_coverage(s, out);
+    if (!s.traffic().empty()) {
+      out << "traffic: " << s.traffic_report().summary() << "\n";
+    }
+    if (trace) {
+      out << "\nlast " << trace->size() << " frames:\n" << trace->dump();
+    }
+  }
+  for (const auto& v : violations) out << "  " << to_string(v) << "\n";
+  out << "violations: " << violations.size() << "\n";
+  return violations;
 }
 
 }  // namespace wam::chaos

@@ -9,16 +9,20 @@
 // observability timelines (CampaignResult::timeline_json), which is what
 // makes a violating seed a complete bug report.
 //
-// On violation the result carries the replay artifact — the seed, the
-// schedule rendered in the scenario DSL, the event timeline — and, unless
-// disabled, a greedily shrunk action subsequence that still reproduces
-// some violation (see chaos/shrink.hpp).
+// On violation the result carries the replay artifact — the schedule in
+// the scenario DSL (chaos/dsl.hpp) with its fabric seed, the event
+// timeline — and, unless disabled, a greedily shrunk action subsequence
+// that still reproduces some violation (see chaos/shrink.hpp). run_dsl()
+// replays an artifact through execute_schedule() itself, and runs
+// hand-written scenarios through the same dispatcher and step loop.
 #pragma once
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "chaos/dsl.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
@@ -46,7 +50,7 @@ struct CampaignResult {
   Profile profile = Profile::kCluster;
   FaultSchedule schedule;
   std::vector<Violation> violations;
-  /// Replay artifact: the schedule in apps/scenario.hpp DSL form.
+  /// Replay artifact: the schedule in DSL form plus its `seed` line.
   std::string dsl;
   /// Deterministic JSON export of the run's observability timeline.
   std::string timeline_json;
@@ -78,5 +82,15 @@ struct CampaignResult {
     std::uint64_t fabric_seed, std::string* timeline_json, int shards = 1,
     bool shard_threads = true,
     std::vector<double>* reconvergence_ms = nullptr);
+
+/// Execute a parsed script (chaos/dsl.hpp), narrating to `out`, and
+/// return the oracle's violations. A chaos artifact replays through
+/// execute_schedule(); a hand-written scenario runs in its own world, is
+/// judged at its `check` lines and once more at its end, and dumps its
+/// last `trace_tail` frames when non-zero. Fills `timeline_json` when
+/// non-null.
+[[nodiscard]] std::vector<Violation> run_dsl(
+    const DslScript& script, std::ostream& out,
+    std::string* timeline_json = nullptr, std::size_t trace_tail = 0);
 
 }  // namespace wam::chaos

@@ -1,5 +1,6 @@
 #include "chaos/oracle.hpp"
 
+#include "chaos/dsl.hpp"
 #include "wackamole/audit.hpp"
 
 namespace wam::chaos {

@@ -1,8 +1,5 @@
 #include "chaos/schedule.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "util/assert.hpp"
 
 namespace wam::chaos {
@@ -25,32 +22,6 @@ std::vector<int> all_upto(int n) {
 
 }  // namespace
 
-const char* fault_kind_verb(FaultKind k) {
-  switch (k) {
-    case FaultKind::kPartition: return "partition";
-    case FaultKind::kMerge: return "merge";
-    case FaultKind::kNicDown: return "disconnect";
-    case FaultKind::kNicUp: return "reconnect";
-    case FaultKind::kCrash: return "crash";
-    case FaultKind::kRestart: return "restart";
-    case FaultKind::kLeave: return "leave";
-    case FaultKind::kJoin: return "join";
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kUndrop: return "undrop";
-    case FaultKind::kLoss: return "loss";
-    case FaultKind::kOsFail: return "osfail";
-    case FaultKind::kOsFailSticky: return "osfail-sticky";
-    case FaultKind::kArpLose: return "arp-lose";
-    case FaultKind::kOsHeal: return "osheal";
-    case FaultKind::kCorruptVipOwner: return "corrupt-vip-owner";
-    case FaultKind::kCorruptIndex: return "corrupt-index";
-    case FaultKind::kStaleIncarnation: return "stale-incarnation";
-    case FaultKind::kFlipViewId: return "flip-view-id";
-    case FaultKind::kReconfigStorm: return "reconfig-storm";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------- models
 
 ClusterFaultModel::ClusterFaultModel(int num_servers) : n_(num_servers) {
@@ -58,9 +29,9 @@ ClusterFaultModel::ClusterFaultModel(int num_servers) : n_(num_servers) {
 }
 
 void ClusterFaultModel::apply(const FaultAction& a) {
-  // Mirrors the defensive no-op semantics of ClusterScenario and the
-  // campaign dispatcher exactly: the shrinker deletes arbitrary actions,
-  // so e.g. a restart whose crash was deleted must be a no-op here too.
+  // Mirrors the defensive no-op semantics of ClusterScenario exactly: the
+  // shrinker deletes arbitrary actions, so e.g. a restart whose crash was
+  // deleted must be a no-op here too.
   switch (a.kind) {
     case FaultKind::kPartition:
       groups_ = a.groups;
@@ -81,7 +52,7 @@ void ClusterFaultModel::apply(const FaultAction& a) {
       crashed_.erase(a.servers[0]);
       break;
     case FaultKind::kLeave:
-      // The dispatcher only leaves a running, connected daemon.
+      // graceful_leave only leaves a running, connected daemon.
       if (crashed_.count(a.servers[0]) == 0) left_.insert(a.servers[0]);
       break;
     case FaultKind::kJoin:
@@ -122,6 +93,10 @@ void ClusterFaultModel::apply(const FaultAction& a) {
       // Transient corruption: the daemon is expected to detect and heal it
       // by itself, so the predicted steady state is unchanged. Modelling
       // them as no-ops also keeps every shrunk subsequence sound.
+    case FaultKind::kProbe:
+    case FaultKind::kBalance:
+    case FaultKind::kStatus:
+    case FaultKind::kCoverage:
       break;
   }
 }
@@ -469,97 +444,6 @@ FaultSchedule generate_router_schedule(sim::Rng& rng,
   }
   s.horizon = sim::milliseconds(cursor + 1000);
   return s;
-}
-
-// ------------------------------------------------------------------ DSL
-
-namespace {
-
-std::string format_secs(sim::Duration d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f",
-                static_cast<double>(d.count()) / 1e9);
-  return buf;
-}
-
-std::string server_token(int i) { return "server" + std::to_string(i + 1); }
-
-}  // namespace
-
-std::string to_dsl(const FaultSchedule& s) {
-  std::string out;
-  out += "# chaos schedule (profile: ";
-  out += s.router_profile ? "router" : "cluster";
-  out += ")\n";
-  out += "servers " + std::to_string(s.num_servers) + "\n";
-  out += "vips " + std::to_string(s.num_vips) + "\n";
-  out += "gcs tuned\n";
-  out += "balance 15\n";
-  // State-fault schedules replay with auditing on, mirroring the campaign
-  // executor's knobs — without it the injected corruption would never heal.
-  if (s.state_faults) out += "audit 0.25\n";
-  out += "\n";
-
-  // Merge actions and checkpoints into one chronological listing so the
-  // artifact reads as the exact campaign timeline.
-  std::size_t ci = 0;
-  auto flush_checkpoints = [&](sim::Duration upto) {
-    while (ci < s.checkpoints.size() && s.checkpoints[ci].at <= upto) {
-      out += "# checkpoint at " + format_secs(s.checkpoints[ci].at) +
-             (s.checkpoints[ci].regression_guard ? " (regression guard)"
-                                                 : " (post-quiesce)") +
-             "\n";
-      ++ci;
-    }
-  };
-  for (const auto& a : s.actions) {
-    flush_checkpoints(a.at);
-    out += "at " + format_secs(a.at) + " " + fault_kind_verb(a.kind);
-    switch (a.kind) {
-      case FaultKind::kPartition: {
-        out += " ";
-        for (std::size_t g = 0; g < a.groups.size(); ++g) {
-          if (g > 0) out += " | ";
-          for (std::size_t i = 0; i < a.groups[g].size(); ++i) {
-            if (i > 0) out += ",";
-            out += server_token(a.groups[g][i]);
-          }
-        }
-        break;
-      }
-      case FaultKind::kDrop:
-        out += " " + server_token(a.servers[0]) + " " +
-               server_token(a.servers[1]);
-        break;
-      case FaultKind::kLoss: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), " %.3f", a.value);
-        out += buf;
-        break;
-      }
-      case FaultKind::kOsFail: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), " %.3f", a.value);
-        out += " " + server_token(a.servers[0]) + buf;
-        break;
-      }
-      case FaultKind::kCorruptVipOwner:
-      case FaultKind::kCorruptIndex:
-        out += " " + server_token(a.servers[0]) + " " +
-               std::to_string(static_cast<int>(a.value));
-        break;
-      case FaultKind::kMerge:
-      case FaultKind::kUndrop:
-        break;
-      default:
-        out += " " + server_token(a.servers[0]);
-        break;
-    }
-    out += "\n";
-  }
-  flush_checkpoints(s.horizon);
-  out += "run " + format_secs(s.horizon) + "\n";
-  return out;
 }
 
 }  // namespace wam::chaos

@@ -5,8 +5,8 @@
 // loss bursts) interleaved with oracle checkpoints. Schedules are produced
 // by a seeded generator — the same (seed, options) pair always yields the
 // same schedule — executed by chaos::run_seed() against a ClusterScenario
-// or RouterScenario, and rendered into the scenario DSL of
-// apps/scenario.hpp as the replay artifact attached to violations.
+// or RouterScenario. Its text form is the scenario DSL (chaos/dsl.hpp),
+// the replay artifact attached to violations.
 //
 // The generator interleaves each fault storm with a quiescence window and
 // heals transient faults (directional drops, loss bursts) before the
@@ -23,7 +23,7 @@
 //   - participant(i): whether server i's Wackamole daemon is expected to
 //     manage addresses (its GCS daemon is up and it has not gracefully
 //     left).
-// Both mirror the defensive no-op semantics of the scenario executors, so
+// Both mirror the defensive no-op semantics of the scenario API, so
 // ANY subsequence of a schedule — the shrinker deletes actions — stays
 // executable and soundly checkable.
 #pragma once
@@ -65,17 +65,24 @@ enum class FaultKind {
   kStaleIncarnation,   // bit-flip server i's cached ViewTag
   kFlipViewId,         // bit-flip the epoch of server i's installed view
   kReconfigStorm,      // three forced rediscoveries in quick succession
+  // ---- scenario-only verbs of hand-written scripts ----
+  // Never generated; the fault models treat them as no-ops.
+  kProbe,     // start the probe client on VIP index `value`
+  kBalance,   // ask the first willing daemon for a balance round
+  kStatus,    // print server i's AdminControl status
+  kCoverage,  // print which server holds each VIP
 };
-
-/// The scenario-DSL verb for a kind ("crash", "drop", ...).
-[[nodiscard]] const char* fault_kind_verb(FaultKind k);
 
 struct FaultAction {
   sim::Duration at{};
   FaultKind kind = FaultKind::kMerge;
   std::vector<int> servers;              // operand server/router indices
   std::vector<std::vector<int>> groups;  // kPartition only
-  double value = 0.0;                    // kLoss only
+  /// kLoss / kOsFail probability; group index of kCorruptVipOwner /
+  /// kCorruptIndex; VIP index of kProbe.
+  double value = 0.0;
+
+  friend bool operator==(const FaultAction&, const FaultAction&) = default;
 };
 
 /// A pause where the campaign asserts Properties 1 and 2.
@@ -85,6 +92,8 @@ struct Checkpoint {
   /// previous one, so a violation here persisted across a quiet window
   /// (the no-regression property).
   bool regression_guard = false;
+
+  friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
 };
 
 struct FaultSchedule {
@@ -187,10 +196,5 @@ class RouterFaultModel {
   std::set<int> left_;
   double loss_ = 0.0;
 };
-
-/// Render the schedule in the apps/scenario.hpp DSL (checkpoints become
-/// comments). parse_scenario() accepts the output verbatim — the replay
-/// artifact for a violating seed.
-[[nodiscard]] std::string to_dsl(const FaultSchedule& s);
 
 }  // namespace wam::chaos

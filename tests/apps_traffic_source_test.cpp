@@ -10,7 +10,7 @@
 
 #include "apps/cluster_scenario.hpp"
 #include "apps/probe_client.hpp"
-#include "apps/scenario.hpp"
+#include "chaos/campaign.hpp"
 #include "load/generator.hpp"
 
 namespace wam::apps {
@@ -137,21 +137,23 @@ TEST(TrafficSource, ScenarioDslProbeDefaultsAreByteIdentical) {
       "run 21\n";
   std::ostringstream implicit_out;
   std::ostringstream explicit_out;
-  EXPECT_TRUE(run_scenario(implicit_text, implicit_out));
-  EXPECT_TRUE(run_scenario(explicit_text, explicit_out));
+  EXPECT_TRUE(
+      chaos::run_dsl(chaos::parse_dsl(implicit_text), implicit_out).empty());
+  EXPECT_TRUE(
+      chaos::run_dsl(chaos::parse_dsl(explicit_text), explicit_out).empty());
   EXPECT_EQ(implicit_out.str(), explicit_out.str());
   // The run actually exercised the probe and reported its traffic.
   EXPECT_NE(implicit_out.str().find("traffic: sent="), std::string::npos);
 }
 
 TEST(TrafficSource, ScenarioDslProbeKnobsApply) {
-  auto parsed = parse_scenario(
+  auto parsed = chaos::parse_dsl(
       "servers 2\n"
       "probe interval 0.25\n"
       "probe port 1234\n"
       "run 5\n");
-  EXPECT_EQ(parsed.options.probe.interval, sim::milliseconds(250));
-  EXPECT_EQ(parsed.options.probe.target_port, 1234);
+  EXPECT_EQ(parsed.world.probe.interval, sim::milliseconds(250));
+  EXPECT_EQ(parsed.world.probe.target_port, 1234);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // The self-stabilization chaos campaign (--state-faults): schedule
-// generation, DSL round-trip (including the `audit` directive the replay
-// artifact needs to heal), the ReconvergenceOracle, the corruption ×
-// quarantine interaction, deterministic replay, and sequential vs sharded
-// byte-identity. See docs/CHAOS.md §state-faults.
+// generation, the ReconvergenceOracle, the corruption × quarantine
+// interaction, deterministic replay (also of a shrunk DSL artifact), and
+// sequential vs sharded byte-identity. See docs/CHAOS.md §state-faults.
 #include <gtest/gtest.h>
 
-#include "apps/scenario.hpp"
+#include <sstream>
+
 #include "chaos/campaign.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/schedule.hpp"
@@ -40,27 +40,6 @@ TEST(StateFaultSchedule, GenerationIsDeterministicAndInjectsCorruption) {
   bool any = false;
   for (const auto& x : a.actions) any |= is_corruption(x.kind);
   EXPECT_TRUE(any) << to_dsl(a);
-}
-
-TEST(StateFaultSchedule, DslRoundTripsIncludingTheAuditDirective) {
-  GeneratorOptions opt;
-  opt.state_faults = true;
-  sim::Rng rng(5);
-  auto s = generate_cluster_schedule(rng, opt);
-  auto parsed = apps::parse_scenario(to_dsl(s));
-  // The replay artifact must re-enable the auditors, or replayed
-  // corruption would never heal and the artifact would spuriously fail.
-  EXPECT_EQ(parsed.options.audit_interval, sim::milliseconds(250));
-  EXPECT_EQ(parsed.options.gcs.audit_interval, sim::milliseconds(250));
-  ASSERT_EQ(parsed.actions.size(), s.actions.size());
-  for (std::size_t i = 0; i < s.actions.size(); ++i) {
-    EXPECT_EQ(parsed.actions[i].verb, fault_kind_verb(s.actions[i].kind))
-        << "action " << i;
-    EXPECT_EQ(parsed.actions[i].servers, s.actions[i].servers)
-        << "action " << i;
-    EXPECT_DOUBLE_EQ(parsed.actions[i].value, s.actions[i].value)
-        << "action " << i;
-  }
 }
 
 TEST(StateFaultSchedule, ModelTreatsCorruptionAsNoOp) {
@@ -116,6 +95,23 @@ TEST(StateFaultCampaign, Seed45GhostMemberRegression) {
   opt.shards = 4;
   auto r = run_seed(45, Profile::kCluster, opt);
   EXPECT_TRUE(r.passed()) << to_string(r.violations.front());
+}
+
+// Seed 73 injects a corrupt-vip-owner right after a stale-incarnation on
+// the same server, and the corruption is never detected. The shrunk
+// artifact carries the chaos world and the fabric seed, so replaying it
+// must reproduce the violation.
+TEST(StateFaultCampaign, Seed73ShrunkArtifactReplaysItsViolation) {
+  CampaignOptions opt;
+  opt.generator.state_faults = true;
+  auto r = run_seed(73, Profile::kCluster, opt);
+  ASSERT_FALSE(r.passed());
+  ASSERT_FALSE(r.shrunk_dsl.empty());
+  std::ostringstream out;
+  auto replay = run_dsl(parse_dsl(r.shrunk_dsl), out);
+  ASSERT_FALSE(replay.empty()) << out.str();
+  EXPECT_EQ(replay.front().kind, Violation::Kind::kCorruptionUndetected)
+      << out.str();
 }
 
 TEST(StateFaultCampaign, MeasuresReconvergenceWindows) {

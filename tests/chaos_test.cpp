@@ -7,7 +7,6 @@
 #include <set>
 
 #include "apps/cluster_scenario.hpp"
-#include "apps/scenario.hpp"
 #include "chaos/campaign.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/schedule.hpp"
@@ -97,30 +96,6 @@ TEST(ChaosSchedule, ActionsStrictlyIncreaseAndEndBeforeHorizon) {
   EXPECT_LT(s.checkpoints.back().at, s.horizon);
 }
 
-TEST(ChaosSchedule, DslRoundTripsThroughScenarioParser) {
-  GeneratorOptions opt;
-  sim::Rng rng(5);
-  auto s = generate_cluster_schedule(rng, opt);
-  auto parsed = apps::parse_scenario(to_dsl(s));
-  EXPECT_EQ(parsed.options.num_servers, s.num_servers);
-  EXPECT_EQ(parsed.options.num_vips, s.num_vips);
-  ASSERT_EQ(parsed.actions.size(), s.actions.size());
-  for (std::size_t i = 0; i < s.actions.size(); ++i) {
-    const auto& want = s.actions[i];
-    const auto& got = parsed.actions[i];
-    EXPECT_EQ(got.verb, fault_kind_verb(want.kind)) << "action " << i;
-    EXPECT_EQ(got.servers, want.servers) << "action " << i;
-    EXPECT_EQ(got.groups, want.groups) << "action " << i;
-    EXPECT_DOUBLE_EQ(got.value, want.value) << "action " << i;
-    // The DSL prints times with millisecond precision.
-    auto skew = got.at > want.at ? got.at - want.at : want.at - got.at;
-    EXPECT_LE(skew, sim::milliseconds(1)) << "action " << i;
-  }
-  auto run_skew = parsed.run_until > s.horizon ? parsed.run_until - s.horizon
-                                               : s.horizon - parsed.run_until;
-  EXPECT_LE(run_skew, sim::milliseconds(1));
-}
-
 // Enforcement-layer faults are opt-in: with the default generator options
 // no os-fault verb may appear, so every pinned seed above keeps replaying
 // byte-identically.
@@ -137,7 +112,7 @@ TEST(ChaosSchedule, OsFaultsAreOptIn) {
   }
 }
 
-TEST(ChaosSchedule, OsFaultGenerationIsDeterministicAndRoundTrips) {
+TEST(ChaosSchedule, OsFaultGenerationIsDeterministic) {
   GeneratorOptions opt;
   opt.os_faults = true;
   sim::Rng r1(42), r2(42);
@@ -152,17 +127,6 @@ TEST(ChaosSchedule, OsFaultGenerationIsDeterministicAndRoundTrips) {
               x.kind == FaultKind::kArpLose || x.kind == FaultKind::kOsHeal;
   }
   EXPECT_TRUE(any_os) << to_dsl(a);
-
-  auto parsed = apps::parse_scenario(to_dsl(a));
-  ASSERT_EQ(parsed.actions.size(), a.actions.size());
-  for (std::size_t i = 0; i < a.actions.size(); ++i) {
-    EXPECT_EQ(parsed.actions[i].verb, fault_kind_verb(a.actions[i].kind))
-        << "action " << i;
-    EXPECT_EQ(parsed.actions[i].servers, a.actions[i].servers)
-        << "action " << i;
-    EXPECT_DOUBLE_EQ(parsed.actions[i].value, a.actions[i].value)
-        << "action " << i;
-  }
 }
 
 // ---------------------------------------------------------- fault model ----

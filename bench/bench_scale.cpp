@@ -3,16 +3,19 @@
 //
 // Reports, per configuration: the fail-over interruption (should stay flat
 // — timeout-dominated, Figure 5's message), the number of GCS messages the
-// reconfiguration cost (sequenced data + views installed), and the
-// wall-clock time the whole simulated scenario took — the row the
-// protocol fast path exists for, dominated by placement + wire codec work
-// once the sweep reaches 64 servers x 4096 VIPs.
+// reconfiguration cost (sequenced data + views installed), the frames the
+// fabric accepted for transmission over the whole run, and the wall-clock
+// time the whole simulated scenario took. After the table it prints the
+// least-squares exponent k of wall ~ servers^k over the 10-VIP rows (all
+// of them, and those from 16 servers up), so a super-quadratic membership
+// cost shows up in the bench's own output.
 //
 // With --json FILE, also writes the wall-clock rows as google-benchmark
 // style JSON (name BM_ScaleFailover/<servers>/<vips>, real_time in ms) so
 // tools/check_bench.py can gate regressions against
 // bench/BENCH_scale.baseline.json.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,6 +32,21 @@ struct Row {
   int vips;
   double wall_ms;
 };
+
+/// Least-squares slope of log(wall) against log(servers).
+double growth_exponent(const std::vector<Row>& rows) {
+  const auto n = static_cast<double>(rows.size());
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  for (const Row& r : rows) {
+    double x = std::log(r.servers);
+    double y = std::log(r.wall_ms);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
 
 void write_json(const char* path, const std::vector<Row>& rows) {
   std::FILE* f = std::fopen(path, "w");
@@ -66,9 +84,9 @@ int main(int argc, char** argv) {
       "with cluster size");
 
   std::vector<Row> rows;
-  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-12s\n", "servers", "vips",
-              "interruption (s)", "msgs sequenced", "views installed",
-              "wall (ms)");
+  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-13s %-12s\n", "servers",
+              "vips", "interruption (s)", "msgs sequenced", "views installed",
+              "frames sent", "wall (ms)");
   auto sweep = [&](int servers, int vips) {
     apps::ClusterOptions opt;
     opt.num_servers = servers;
@@ -97,9 +115,12 @@ int main(int argc, char** argv) {
 
     std::uint64_t sequenced = s.obs.registry.sum("gcs/*/data_sequenced");
     std::uint64_t views = s.obs.registry.sum("gcs/*/views_installed");
-    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-12.1f\n", servers,
-                vips, interruption, static_cast<unsigned long long>(sequenced),
-                static_cast<unsigned long long>(views), wall_ms);
+    std::uint64_t frames = s.fabric.counters().frames_sent;
+    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-13llu %-12.1f\n",
+                servers, vips, interruption,
+                static_cast<unsigned long long>(sequenced),
+                static_cast<unsigned long long>(views),
+                static_cast<unsigned long long>(frames), wall_ms);
     rows.push_back(Row{servers, vips, wall_ms});
   };
 
@@ -109,6 +130,20 @@ int main(int argc, char** argv) {
   // The production-scale regime of the protocol fast path: one cluster
   // size, VIP counts swept past the placement and wire hot paths.
   for (int vips : {256, 1024, 4096}) sweep(64, vips);
+  std::printf("\n");
+  // Rows below 16 servers are dominated by per-run fixed costs, so the
+  // fit from 16 servers up is the one that tracks membership cost.
+  for (int from : {4, 16}) {
+    std::vector<Row> fit;
+    for (const Row& r : rows) {
+      if (r.vips == 10 && r.servers >= from) fit.push_back(r);
+    }
+    if (fit.size() < 2) continue;
+    std::printf("  growth: wall ~ servers^%.2f (least squares over the "
+                "10-VIP rows, %d-%d servers)\n",
+                growth_exponent(fit), fit.front().servers,
+                fit.back().servers);
+  }
 
   if (json_path != nullptr) write_json(json_path, rows);
   return 0;

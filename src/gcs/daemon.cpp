@@ -756,9 +756,14 @@ void Daemon::enter_discovery(const char* reason) {
 }
 
 void Daemon::discovery_broadcast() {
-  Discovery d{id_, discovery_epoch_,
-              std::vector<DaemonId>(known_.begin(), known_.end())};
-  broadcast(d);
+  broadcast(Discovery{id_, discovery_epoch_, known_});
+}
+
+bool Daemon::learn(DaemonId id) {
+  auto it = std::lower_bound(known_.begin(), known_.end(), id);
+  if (it != known_.end() && *it == id) return false;
+  known_.insert(it, id);
+  return true;
 }
 
 void Daemon::on_discovery(const Discovery& d) {
@@ -766,9 +771,9 @@ void Daemon::on_discovery(const Discovery& d) {
     enter_discovery("peer in discovery");
     // Fall through with the freshly reset discovery state.
   } else if (state_ == State::kAwaitInstall) {
-    // proposed_members_ is sorted (discovery_deadline sorts it before
-    // proposing), as are d.known and p.members below — senders emit them
-    // from a std::set / post-sort, so membership checks binary-search.
+    // proposed_members_ is sorted (it is the coordinator's known_), so
+    // the membership check binary-searches. A peer's d.known is never
+    // assumed sorted: learn() checks each id against our own known_.
     bool cascades = !accepted_proposal_ ||
                     d.epoch >= accepted_proposal_->epoch ||
                     !std::binary_search(proposed_members_.begin(),
@@ -782,16 +787,16 @@ void Daemon::on_discovery(const Discovery& d) {
     discovery_epoch_ = d.epoch;
     changed = true;
   }
-  if (known_.insert(d.sender).second) changed = true;
+  if (learn(d.sender)) changed = true;
   for (DaemonId k : d.known) {
-    if (known_.insert(k).second) changed = true;
+    if (learn(k)) changed = true;
   }
-  bool they_know_us =
-      std::binary_search(d.known.begin(), d.known.end(), id_);
-  if (changed || !they_know_us) {
-    discovery_broadcast();
-  }
+  // Rebroadcast only what taught us something. A flood that does not list
+  // us yet gets no reply: our own broadcast naming us is already in
+  // flight, and the rebroadcast timer and other daemons' relays cover its
+  // loss. Replying to every such message would cost O(N^3) frames.
   if (changed) {
+    discovery_broadcast();
     // Extend the window so the flood can converge everywhere.
     discovery_deadline_timer_.cancel();
     discovery_deadline_timer_ = host_.scheduler().schedule(
@@ -802,20 +807,18 @@ void Daemon::on_discovery(const Discovery& d) {
 void Daemon::discovery_deadline() {
   if (state_ != State::kDiscovery) return;
   discovery_rebroadcast_timer_.cancel();
-  std::vector<DaemonId> members(known_.begin(), known_.end());
-  std::sort(members.begin(), members.end());
-  if (members.front() == id_) {
+  if (known_.front() == id_) {
     // We coordinate the install.
     coordinator_ = true;
-    proposed_members_ = members;
+    proposed_members_ = known_;
     ViewId proposal{discovery_epoch_, id_};
     accepted_proposal_ = proposal;
     accepts_.clear();
     state_ = State::kAwaitInstall;
     log_.info("proposing view %s with %zu members",
-              proposal.to_string().c_str(), members.size());
-    if (members.size() > 1) {
-      broadcast(Propose{proposal, members});
+              proposal.to_string().c_str(), known_.size());
+    if (known_.size() > 1) {
+      broadcast(Propose{proposal, known_});
       install_deadline_timer_.cancel();
       install_deadline_timer_ = host_.scheduler().schedule(
           config_.effective_install_timeout(), [this] { install_deadline(); });

@@ -21,7 +21,10 @@
 //
 //   * MEMBERSHIP CHANGE — on suspicion or on hearing a foreign daemon, a
 //     daemon floods DISCOVERY (its id, a proposed epoch, everyone heard so
-//     far) and collects for discovery_timeout. The lowest-id participant
+//     far) and collects for discovery_timeout. It rebroadcasts only when a
+//     received DISCOVERY taught it a new daemon or a higher epoch, plus
+//     on its rebroadcast timer, so a change costs O(N^2) broadcasts and
+//     not one reply per flood message. The lowest-id participant
 //     then PROPOSEs the view; members ACCEPT carrying their unstable
 //     messages and group tables; the coordinator broadcasts INSTALL with
 //     the per-old-view union of unstable messages (the Virtual-Synchrony
@@ -195,6 +198,8 @@ class Daemon {
   // ---- Membership protocol ----
   void enter_discovery(const char* reason);
   void discovery_broadcast();
+  /// Add `id` to known_ keeping it sorted; true when it was new.
+  bool learn(DaemonId id);
   void on_discovery(const Discovery& d);
   void discovery_deadline();
   void on_propose(const Propose& p);
@@ -274,7 +279,7 @@ class Daemon {
 
   // Discovery / install state.
   std::uint64_t discovery_epoch_ = 0;
-  std::set<DaemonId> known_;
+  std::vector<DaemonId> known_;  // sorted; sent on the wire as is
   sim::TimerHandle discovery_rebroadcast_timer_;
   sim::TimerHandle discovery_deadline_timer_;
   sim::TimerHandle install_deadline_timer_;

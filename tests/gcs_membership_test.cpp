@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "gcs/message.hpp"
 #include "gcs_fixture.hpp"
+#include "net/frame.hpp"
 
 namespace wam::testing {
 namespace {
@@ -177,6 +181,105 @@ TEST(GcsMembership, ViewEpochIncreasesAcrossChanges) {
   c.run(sim::seconds(5.0));
   auto e2 = c.daemons[0]->view().id.epoch;
   EXPECT_GT(e2, e1);
+}
+
+std::vector<int> first_n(int n) {
+  std::vector<int> idx(static_cast<std::size_t>(n));
+  std::iota(idx.begin(), idx.end(), 0);
+  return idx;
+}
+
+/// Counts the DISCOVERY frames the fabric accepts for transmission.
+struct DiscoveryTap {
+  std::uint64_t frames = 0;
+
+  explicit DiscoveryTap(GcsCluster& c) {
+    const std::uint16_t port = Config::spread_tuned().port;
+    c.fabric.set_tap([this, port](net::SegmentId, const net::Frame& frame) {
+      if (frame.type != net::EtherType::kIpv4) return;
+      auto pkt = net::Ipv4Packet::decode(frame.payload);
+      if (pkt.protocol != net::kProtoUdp) return;
+      auto udp = net::UdpDatagram::decode(pkt.payload);
+      if (udp.dst_port == port && udp.payload.size() > 0 &&
+          udp.payload[0] ==
+              static_cast<std::uint8_t>(gcs::MsgType::kDiscovery)) {
+        ++frames;
+      }
+    });
+  }
+};
+
+// A membership change floods DISCOVERY in O(N^2) broadcasts: each daemon
+// rebroadcasts only when a message taught it a new daemon or epoch.
+// Replying to every flood message that does not list the receiver yet
+// would make it O(N^3) (~15.6 N^2 frames at N = 32).
+TEST(GcsMembership, DiscoveryFloodCostIsQuadratic) {
+  for (int n : {8, 16, 32}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    GcsCluster c(n);
+    DiscoveryTap tap(c);
+    const auto bound = static_cast<std::uint64_t>(2 * n * n);
+    c.start_all();
+    c.run(sim::seconds(5.0));
+    c.expect_views({first_n(n)}, "converged");
+
+    tap.frames = 0;
+    c.hosts[static_cast<std::size_t>(n - 1)]->set_interface_up(0, false);
+    c.run(sim::seconds(5.0));
+    c.expect_views({first_n(n - 1)}, "after fault");
+    EXPECT_LE(tap.frames, bound) << "fault";
+
+    tap.frames = 0;
+    c.hosts[static_cast<std::size_t>(n - 1)]->set_interface_up(0, true);
+    c.run(sim::seconds(5.0));
+    c.expect_views({first_n(n)}, "after rejoin");
+    EXPECT_LE(tap.frames, bound) << "rejoin";
+  }
+}
+
+// For the first 100 ms of a discovery round, frames from daemon 0 to the
+// initiator (daemon 1) are dropped, so none of daemon 0's immediate
+// DISCOVERY broadcasts reach it. The initiator must still end up in a
+// view with daemon 0, learning of it through the third daemon's relay
+// (n = 3) or daemon 0's timer rebroadcast (n = 2).
+TEST(GcsMembership, OneWayBlockEarlyInDiscoveryStillMerges) {
+  for (int n : {2, 3}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    GcsCluster c(n);
+    c.start_all();
+    c.run(sim::seconds(5.0));
+    c.expect_views({first_n(n)}, "converged");
+    const auto epoch = c.daemons[1]->view().id.epoch;
+
+    net::NicId a = c.hosts[0]->nic_id(0);
+    net::NicId b = c.hosts[1]->nic_id(0);
+    c.fabric.block_direction(a, b);
+    ASSERT_TRUE(c.daemons[1]->force_rediscovery("test"));
+    c.run(sim::milliseconds(100));
+    c.fabric.unblock_direction(a, b);
+    c.run(sim::seconds(5.0));
+    c.expect_views({first_n(n)}, "after the round");
+    EXPECT_GT(c.daemons[1]->view().id.epoch, epoch);
+  }
+}
+
+TEST(GcsMembership, LossyDiscoveryConvergesAfterHeal) {
+  GcsCluster c(5);
+  c.start_all();
+  c.run(sim::seconds(5.0));
+  c.expect_views({{0, 1, 2, 3, 4}}, "converged");
+
+  // 30 % segment loss through the fault and the discovery window.
+  c.fabric.set_drop_probability(c.seg, 0.3);
+  c.hosts[4]->set_interface_up(0, false);
+  c.run(sim::seconds(5.0));
+  c.fabric.set_drop_probability(c.seg, 0.0);
+  c.run(sim::seconds(10.0));
+  c.expect_views({{0, 1, 2, 3}}, "after the loss heals");
+  auto id = c.daemons[0]->view().id;
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.daemons[static_cast<std::size_t>(i)]->view().id, id);
+  }
 }
 
 }  // namespace

@@ -181,6 +181,9 @@ DslScript parse_dsl(const std::string& text) {
   s.num_servers = script.world.num_servers;
   s.num_vips = script.world.num_vips;
   int hand_written_line = 0;  // a gcs/balance/probe line or scenario verb
+  // Actions are checked against the world size as parsed so far, so the
+  // size must be fixed before the first one.
+  bool seen_at = false;
 
   std::istringstream in(text);
   std::string line;
@@ -218,6 +221,7 @@ DslScript parse_dsl(const std::string& text) {
     const std::string word = next();
     if (word.empty()) continue;
     if (word == "chaos") {
+      if (script.chaos) bad("a second chaos line: one artifact per script");
       script.chaos = true;
       const std::string profile = next();
       if (profile != "cluster" && profile != "router") {
@@ -234,10 +238,10 @@ DslScript parse_dsl(const std::string& text) {
       script.world.seed = num(std::uint64_t{0},
                               std::numeric_limits<std::uint64_t>::max(),
                               "seed needs an unsigned integer");
-    } else if (word == "servers") {
-      s.num_servers = num(1, kIntMax, "servers needs a positive count");
-    } else if (word == "vips") {
-      s.num_vips = num(1, kIntMax, "vips needs a positive count");
+    } else if (word == "servers" || word == "vips") {
+      if (seen_at) bad(word + " must come before the first at line");
+      (word == "servers" ? s.num_servers : s.num_vips) =
+          num(1, kIntMax, word + " needs a positive count");
     } else if (word == "gcs") {
       hand_written_line = line_no;
       const std::string which = next();
@@ -272,6 +276,7 @@ DslScript parse_dsl(const std::string& text) {
       cp.regression_guard = !guard.empty();
       s.checkpoints.push_back(cp);
     } else if (word == "at") {
+      seen_at = true;
       FaultAction a;
       a.at = secs("at");
       const std::string name = next();

@@ -91,7 +91,8 @@ void check_cluster_invariants(apps::ClusterScenario& s,
       if (!model.os_sticky(i)) all_sticky = false;
       // Fence protocol invariant: quarantined means released.
       for (const auto& g : s.wam(i).quarantined_groups()) {
-        if (!s.ip_manager(i).holds(g)) continue;
+        auto id = wackamole::find_group_id(g);
+        if (!id || !s.ip_manager(i).holds(*id)) continue;
         Violation v;
         v.kind = Violation::Kind::kFencedButHeld;
         v.at = now;

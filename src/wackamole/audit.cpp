@@ -40,22 +40,18 @@ std::vector<AuditFinding> StateAuditor::audit(const Daemon& daemon) {
                          ViewTag::of(*view).to_string()});
     }
     // Deterministic sweep order: findings come out sorted by group name,
-    // never by process-local GroupId or hash order.
-    std::vector<std::pair<const std::string*, const gcs::MemberId*>> entries;
-    entries.reserve(table.owner_ids().size());
-    for (const auto& [id, member] : table.owner_ids()) {
-      entries.emplace_back(&group_name(id), &member);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return *a.first < *b.first; });
-    for (const auto& [name, member] : entries) {
-      bool in_view = std::any_of(
-          view->members.begin(), view->members.end(),
-          [member](const gcs::MemberId& m) { return m == *member; });
-      if (!in_view) {
-        out.push_back({AuditCheck::kOwnerNotInView, *name,
-                       "owner " + member->to_string() + " not in view"});
+    // never by process-local GroupId order.
+    std::vector<std::pair<const std::string*, gcs::MemberId>> offenders;
+    table.for_each_owner([&](GroupId id, const gcs::MemberId& member) {
+      if (view->rank_of(member) < 0) {
+        offenders.emplace_back(&group_name(id), member);
       }
+    });
+    std::sort(offenders.begin(), offenders.end(),
+              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    for (const auto& [name, member] : offenders) {
+      out.push_back({AuditCheck::kOwnerNotInView, *name,
+                     "owner " + member.to_string() + " not in view"});
     }
   }
 

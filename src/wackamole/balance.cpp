@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -9,22 +10,27 @@ namespace wam::wackamole {
 
 GroupSet::GroupSet(const std::vector<std::string>& group_names)
     : names(group_names) {
-  std::sort(names.begin(), names.end());
+  // Callers usually pass Config::group_names(), which is sorted already.
+  if (!std::is_sorted(names.begin(), names.end())) {
+    std::sort(names.begin(), names.end());
+  }
   ids.reserve(names.size());
   canonical.reserve(names.size());
-  pos_.reserve(names.size());
   for (std::uint32_t p = 0; p < names.size(); ++p) {
     ids.push_back(intern_group(names[p]));
     canonical.push_back(p > 0 && names[p] == names[p - 1] ? canonical[p - 1]
                                                          : p);
-    pos_.emplace(ids[p], p);  // first occurrence wins => canonical position
+    if (ids[p] >= pos_.size()) pos_.resize(ids[p] + 1, kAbsent);
+    // First occurrence wins => canonical position.
+    if (pos_[ids[p]] == kAbsent) pos_[ids[p]] = p;
   }
 }
 
-std::optional<std::uint32_t> GroupSet::position_of(GroupId id) const {
-  auto it = pos_.find(id);
-  if (it == pos_.end()) return std::nullopt;
-  return it->second;
+std::optional<std::uint32_t> GroupSet::position_of_name(
+    std::string_view name) const {
+  auto it = std::lower_bound(names.begin(), names.end(), name);
+  if (it == names.end() || *it != name) return std::nullopt;
+  return static_cast<std::uint32_t>(it - names.begin());
 }
 
 std::vector<MemberState> to_member_states(
@@ -36,12 +42,7 @@ std::vector<MemberState> to_member_states(
     // positions come out sorted too — binary-search-ready.
     std::vector<std::uint32_t> positions;
     for (const auto& name : names) {
-      auto it = std::lower_bound(groups.names.begin(), groups.names.end(),
-                                 name);
-      if (it != groups.names.end() && *it == name) {
-        positions.push_back(
-            static_cast<std::uint32_t>(it - groups.names.begin()));
-      }
+      if (auto pos = groups.position_of_name(name)) positions.push_back(*pos);
     }
     return positions;
   };

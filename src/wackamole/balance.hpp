@@ -22,7 +22,7 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,11 +67,22 @@ struct GroupSet {
   std::vector<std::uint32_t> canonical;
 
   [[nodiscard]] std::size_t size() const { return names.size(); }
-  /// Position of an interned group id, or nullopt if not in this set.
-  [[nodiscard]] std::optional<std::uint32_t> position_of(GroupId id) const;
+  /// Position of an interned group id, or nullopt if not in this set. O(1):
+  /// one load from a vector indexed by id.
+  [[nodiscard]] std::optional<std::uint32_t> position_of(GroupId id) const {
+    if (id >= pos_.size() || pos_[id] == kAbsent) return std::nullopt;
+    return pos_[id];
+  }
+  /// Position of `name` (binary search; the canonical, first occurrence),
+  /// or nullopt if not in this set.
+  [[nodiscard]] std::optional<std::uint32_t> position_of_name(
+      std::string_view name) const;
 
  private:
-  std::unordered_map<GroupId, std::uint32_t> pos_;
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  /// pos_[id] = canonical position of `id`, kAbsent if not in the set;
+  /// sized to the largest id in the set.
+  std::vector<std::uint32_t> pos_;
 };
 
 /// MemberInfo translated onto a GroupSet: preference and quarantine sets

@@ -45,14 +45,16 @@ Daemon::Daemon(sim::Scheduler& sched, Config config, gcs::Daemon& gcs,
       groups_(config_.group_names()),
       rng_(gcs.id().value()) {
   config_.validate();
-  config_ids_.reserve(config_.vip_groups.size());
+  // Names are unique (validate), so every configured name has exactly one
+  // position; the GroupSet interned them already.
+  group_at_.resize(groups_.size());
+  config_pos_.reserve(config_.vip_groups.size());
   for (const auto& g : config_.vip_groups) {
-    config_ids_.push_back(intern_group(g.name));
+    const auto pos = *groups_.position_of(*find_group_id(g.name));
+    config_pos_.push_back(pos);
+    group_at_[pos] = &g;
   }
-  preferred_ids_.reserve(config_.preferred.size());
-  for (const auto& name : config_.preferred) {
-    preferred_ids_.push_back(intern_group(name));
-  }
+  set_preferences(config_.preferred);
 }
 
 void Daemon::bind_observability(obs::Observability& obs, std::string scope) {
@@ -130,11 +132,11 @@ void Daemon::graceful_shutdown() {
 }
 
 std::vector<std::string> Daemon::owned() const {
+  // Ascending position is name order.
   std::vector<std::string> out;
-  for (const auto& g : config_.vip_groups) {
-    if (ip_manager_.holds(g.name)) out.push_back(g.name);
+  for (std::uint32_t p = 0; p < groups_.size(); ++p) {
+    if (ip_manager_.holds(groups_.ids[p])) out.push_back(groups_.names[p]);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -273,7 +275,7 @@ void Daemon::send_state_msg() {
   // Positions are name-sorted, so the owned list goes out in the same
   // sorted order the string path produced.
   for (std::uint32_t p = 0; p < groups_.size(); ++p) {
-    if (ip_manager_.holds(groups_.names[p])) m.owned.push_back(groups_.ids[p]);
+    if (ip_manager_.holds(groups_.ids[p])) m.owned.push_back(groups_.ids[p]);
   }
   m.preferred = preferred_ids_;
   m.quarantined.reserve(quarantined_.size());
@@ -312,7 +314,8 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
   // dropping overlaps immediately (the earlier member in the membership
   // list releases — restoring network-level consistency ASAP).
   for (auto id : m.owned) {
-    if (!groups_.position_of(id)) {
+    auto pos = groups_.position_of(id);
+    if (!pos) {
       log_.warn("peer %s claims unknown VIP group '%s'",
                 sender.to_string().c_str(), group_name(id).c_str());
       continue;
@@ -320,10 +323,9 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
     auto result = table_.claim(id, sender, *view_);
     if (result.dropped && client_.connected() &&
         *result.dropped == client_.self()) {
-      const auto& name = group_name(id);
       log_.info("conflict on %s: releasing (we precede %s in the view)",
-                name.c_str(), sender.to_string().c_str());
-      release_group(name);
+                groups_.names[*pos].c_str(), sender.to_string().c_str());
+      release_group(*pos);
       ++counters_.conflicts_dropped;
     }
   }
@@ -349,24 +351,25 @@ std::size_t Daemon::multicast_allocation(const VipTable& table, bool alloc) {
   // so ascending position is that order; entries claimed for unknown
   // groups by a version-skewed peer (possible in a received table) force
   // the slow name sort.
-  std::vector<std::pair<std::uint32_t, GroupId>> order;
+  // (position, (owner ip, owner client)) per entry.
+  std::vector<std::pair<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>>>
+      order;
   order.reserve(table.size());
   bool all_known = true;
-  for (const auto& [id, owner] : table.owner_ids()) {
+  table.for_each_owner([&](GroupId id, const gcs::MemberId& owner) {
     auto pos = groups_.position_of(id);
     if (!pos) {
       all_known = false;
-      break;
+      return;
     }
-    order.emplace_back(*pos, id);
-  }
+    order.emplace_back(*pos,
+                       std::make_pair(owner.daemon.value(), owner.client));
+  });
   m.allocation.reserve(table.size());
   if (all_known) {
     std::sort(order.begin(), order.end());
-    for (const auto& [pos, id] : order) {
-      auto owner = *table.owner(id);
-      m.allocation.emplace_back(
-          id, std::make_pair(owner.daemon.value(), owner.client));
+    for (const auto& [pos, owner] : order) {
+      m.allocation.emplace_back(groups_.ids[pos], owner);
     }
   } else {
     for (const auto& [name, owner] : table.owners()) {
@@ -412,7 +415,7 @@ void Daemon::finish_gather() {
   for (const auto& [pos, mi] : assignments) {
     table_.set_owner(groups_.ids[pos], states[mi].id);
     if (client_.connected() && states[mi].id == client_.self()) {
-      acquire_group(groups_.names[pos]);
+      acquire_group(pos);
     }
   }
   ++counters_.reallocations;
@@ -420,8 +423,8 @@ void Daemon::finish_gather() {
        {{"holes", std::to_string(assignments.size())},
         {"mode", "deterministic"}});
   enter_state(WamState::kRun);
-  log_.info("GATHER complete: reallocated %zu holes, table %s",
-            assignments.size(), table_.describe().c_str());
+  log_.info("GATHER complete: reallocated %zu holes, table of %zu groups",
+            assignments.size(), table_.size());
   arm_balance_timer();
 }
 
@@ -452,21 +455,20 @@ void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
                                      owner.second, ""});
     if (auto pos = groups_.position_of(id)) listed[*pos] = true;
   }
-  for (std::size_t i = 0; i < config_.vip_groups.size(); ++i) {
-    if (!listed[*groups_.position_of(config_ids_[i])]) {
+  for (auto pos : config_pos_) {
+    if (!listed[pos]) {
       log_.warn("balance allocation omits group %s: keeping current owner",
-                config_.vip_groups[i].name.c_str());
+                groups_.names[pos].c_str());
     }
   }
   if (client_.connected()) {
     auto me = client_.self();
-    for (std::size_t i = 0; i < config_.vip_groups.size(); ++i) {
-      const auto& name = config_.vip_groups[i].name;
-      auto owner = next.owner(config_ids_[i]);
+    for (auto pos : config_pos_) {
+      auto owner = next.owner(groups_.ids[pos]);
       bool should_hold = owner && *owner == me;
-      bool holds = ip_manager_.holds(name);
-      if (should_hold && !holds) acquire_group(name);
-      if (!should_hold && holds) release_group(name);
+      bool holds = ip_manager_.holds(groups_.ids[pos]);
+      if (should_hold && !holds) acquire_group(pos);
+      if (!should_hold && holds) release_group(pos);
     }
   }
   table_ = std::move(next);
@@ -554,7 +556,7 @@ void Daemon::maturity_tick() {
     for (std::uint32_t p = 0; p < groups_.size(); ++p) {
       if (table_.owner(groups_.ids[p])) continue;
       table_.set_owner(groups_.ids[p], client_.self());
-      acquire_group(groups_.names[p]);
+      acquire_group(p);
     }
     send_state_msg();
   } else if (state_ == WamState::kGather) {
@@ -587,8 +589,10 @@ void Daemon::announce_tick() {
   if (!running_) return;
   // Anti-entropy: gratuitous-ARP refresh for everything we hold, so caches
   // that missed the takeover spoof (lossy LAN) eventually converge.
-  for (const auto& g : config_.vip_groups) {
-    if (ip_manager_.holds(g.name)) ip_manager_.announce(g);
+  for (auto pos : config_pos_) {
+    if (ip_manager_.holds(groups_.ids[pos])) {
+      ip_manager_.announce(*group_at_[pos]);
+    }
   }
   arm_announce_timer();
 }
@@ -647,13 +651,12 @@ std::vector<MemberState> Daemon::member_states() const {
   return out;
 }
 
-void Daemon::acquire_group(const std::string& name) {
-  const auto* group = config_.find_group(name);
-  WAM_ASSERT(group != nullptr);
-  if (ip_manager_.holds(name)) return;
-  auto result = ip_manager_.acquire(*group);
+void Daemon::acquire_group(std::uint32_t pos) {
+  const auto& name = groups_.names[pos];
+  if (ip_manager_.holds(groups_.ids[pos])) return;
+  auto result = ip_manager_.acquire(*group_at_[pos]);
   if (result.ok()) {
-    pending_acquires_.erase(name);
+    pending_acquires_.erase(pos);
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});
     log_.info("acquired VIP group %s", name.c_str());
@@ -674,30 +677,29 @@ void Daemon::acquire_group(const std::string& name) {
     ++counters_.acquire_failures;
     log_.warn("acquire of %s failed: %s", name.c_str(), result.detail.c_str());
   }
-  schedule_acquire_retry(name, result);
+  schedule_acquire_retry(pos, result);
 }
 
-void Daemon::release_group(const std::string& name) {
-  const auto* group = config_.find_group(name);
-  WAM_ASSERT(group != nullptr);
-  if (!ip_manager_.holds(name)) {
-    auto it = pending_releases_.find(name);
+void Daemon::release_group(std::uint32_t pos) {
+  const auto& name = groups_.names[pos];
+  if (!ip_manager_.holds(groups_.ids[pos])) {
+    auto it = pending_releases_.find(pos);
     if (it != pending_releases_.end()) {
       it->second.timer.cancel();
       pending_releases_.erase(it);
     }
     return;
   }
-  auto result = ip_manager_.release(*group);
+  auto result = ip_manager_.release(*group_at_[pos]);
   if (!result.ok()) {
     // A release that fails leaves us still answering for the address, so —
     // unlike acquire — we never give up: retry with the same capped backoff
     // until the unbind sticks.
     log_.warn("release of %s failed: %s", name.c_str(), result.detail.c_str());
-    schedule_release_retry(name);
+    schedule_release_retry(pos);
     return;
   }
-  auto it = pending_releases_.find(name);
+  auto it = pending_releases_.find(pos);
   if (it != pending_releases_.end()) {
     it->second.timer.cancel();
     pending_releases_.erase(it);
@@ -710,9 +712,7 @@ void Daemon::release_group(const std::string& name) {
 void Daemon::release_everything(const char* cause) {
   emit(obs::EventType::kPanicRelease,
        {{"cause", cause}, {"held", std::to_string(owned().size())}});
-  for (const auto& g : config_.vip_groups) {
-    release_group(g.name);
-  }
+  for (auto pos : config_pos_) release_group(pos);
 }
 
 // -------------------------- fallible enforcement: retry / fence / NOTIFY ----
@@ -734,85 +734,83 @@ sim::Duration Daemon::backoff_delay(int failed_attempts) {
 }
 
 void Daemon::cancel_pending_acquires() {
-  for (auto& [name, p] : pending_acquires_) p.timer.cancel();
+  for (auto& [pos, p] : pending_acquires_) p.timer.cancel();
   pending_acquires_.clear();
 }
 
-void Daemon::schedule_acquire_retry(const std::string& name,
+void Daemon::schedule_acquire_retry(std::uint32_t pos,
                                     const OsOpResult& result) {
-  auto& p = pending_acquires_[name];
+  auto& p = pending_acquires_[pos];
   ++p.attempts;
   if (p.attempts >= config_.acquire_retry_limit) {
-    fence_group(name, result.detail);
+    fence_group(pos, result.detail);
     return;
   }
   auto delay = backoff_delay(p.attempts);
   ++counters_.acquire_retries;
   p.timer.cancel();
-  p.timer =
-      sched_.schedule(delay, [this, name] { acquire_retry_tick(name); });
-  log_.info("retrying acquire of %s in %.1fms (attempt %d/%d)", name.c_str(),
-            sim::to_millis(delay), p.attempts, config_.acquire_retry_limit);
+  p.timer = sched_.schedule(delay, [this, pos] { acquire_retry_tick(pos); });
+  log_.info("retrying acquire of %s in %.1fms (attempt %d/%d)",
+            groups_.names[pos].c_str(), sim::to_millis(delay), p.attempts,
+            config_.acquire_retry_limit);
 }
 
-void Daemon::acquire_retry_tick(const std::string& name) {
+void Daemon::acquire_retry_tick(std::uint32_t pos) {
   if (!running_) return;
-  if (ip_manager_.holds(name)) {
-    pending_acquires_.erase(name);
+  if (ip_manager_.holds(groups_.ids[pos])) {
+    pending_acquires_.erase(pos);
     return;
   }
   if (!client_.connected() || state_ == WamState::kIdle) {
-    pending_acquires_.erase(name);
+    pending_acquires_.erase(pos);
     return;
   }
-  auto owner = table_.owner(name);
+  auto owner = table_.owner(groups_.ids[pos]);
   if (!owner || !(*owner == client_.self())) {
     // Reassigned (or the view changed) while we were backing off.
-    pending_acquires_.erase(name);
+    pending_acquires_.erase(pos);
     return;
   }
-  acquire_group(name);
+  acquire_group(pos);
 }
 
-void Daemon::schedule_release_retry(const std::string& name) {
+void Daemon::schedule_release_retry(std::uint32_t pos) {
   if (!running_) return;
-  auto& p = pending_releases_[name];
+  auto& p = pending_releases_[pos];
   ++p.attempts;
   ++counters_.release_retries;
   auto delay = backoff_delay(p.attempts);
   p.timer.cancel();
-  p.timer =
-      sched_.schedule(delay, [this, name] { release_retry_tick(name); });
+  p.timer = sched_.schedule(delay, [this, pos] { release_retry_tick(pos); });
 }
 
-void Daemon::release_retry_tick(const std::string& name) {
+void Daemon::release_retry_tick(std::uint32_t pos) {
   if (!running_) return;
-  if (!ip_manager_.holds(name)) {
-    pending_releases_.erase(name);
+  if (!ip_manager_.holds(groups_.ids[pos])) {
+    pending_releases_.erase(pos);
     return;
   }
   if (client_.connected() && state_ != WamState::kIdle) {
-    auto owner = table_.owner(name);
+    auto owner = table_.owner(groups_.ids[pos]);
     if (owner && *owner == client_.self()) {
       // The cluster re-assigned the group back to us mid-retry: the failed
       // release is moot, we are supposed to hold it after all.
-      pending_releases_.erase(name);
+      pending_releases_.erase(pos);
       return;
     }
   }
-  release_group(name);
+  release_group(pos);
 }
 
-void Daemon::fence_group(const std::string& name, const std::string& reason) {
-  pending_acquires_.erase(name);
-  const auto* group = config_.find_group(name);
-  WAM_ASSERT(group != nullptr);
+void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
+  const auto& name = groups_.names[pos];
+  pending_acquires_.erase(pos);
   // Drop whatever partial state the failed acquires left behind. (Sim
   // acquisition is all-or-nothing; real platforms may partially bind.)
-  if (ip_manager_.holds(name)) {
-    release_group(name);
+  if (ip_manager_.holds(groups_.ids[pos])) {
+    release_group(pos);
   } else {
-    ip_manager_.release(*group);
+    ip_manager_.release(*group_at_[pos]);
   }
   bool fresh = quarantined_.insert(name).second;
   if (fresh) {
@@ -857,12 +855,13 @@ void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
     return;
   }
   ++counters_.notifies_received;
-  if (config_.find_group(m.group) == nullptr) {
+  auto pos = groups_.position_of_name(m.group);
+  if (!pos) {
     log_.warn("NOTIFY for unknown VIP group '%s' from %s", m.group.c_str(),
               sender.to_string().c_str());
     return;
   }
-  auto id = *find_group_id(m.group);  // configured groups are pre-interned
+  auto id = groups_.ids[*pos];
   auto& peer = info_[sender];
   if (m.fenced) {
     peer.quarantined.insert(id);
@@ -901,7 +900,7 @@ void Daemon::reallocate_holes(const char* mode) {
   for (const auto& [pos, mi] : assignments) {
     table_.set_owner(groups_.ids[pos], states[mi].id);
     if (client_.connected() && states[mi].id == client_.self()) {
-      acquire_group(groups_.names[pos]);
+      acquire_group(pos);
     }
   }
   ++counters_.reallocations;
@@ -923,15 +922,17 @@ void Daemon::cooldown_tick(const std::string& name) {
     arm_cooldown(name);
     return;
   }
-  const auto* group = config_.find_group(name);
-  WAM_ASSERT(group != nullptr);
-  auto owner = table_.owner(name);
+  const auto pos = groups_.position_of_name(name);
+  WAM_ASSERT(pos.has_value());
+  const auto id = groups_.ids[*pos];
+  const auto& group = *group_at_[*pos];
+  auto owner = table_.owner(id);
   bool ours_or_hole = !owner || *owner == client_.self();
   // Probe the enforcement layer: a real acquire when the group is ours to
   // take (hole, or still nominally ours), a side-effect-free announce when
   // a peer covers it — binding behind the peer's back would split traffic.
-  auto result = ours_or_hole ? ip_manager_.acquire(*group)
-                             : ip_manager_.announce(*group);
+  auto result = ours_or_hole ? ip_manager_.acquire(group)
+                             : ip_manager_.announce(group);
   if (result.status == OsOpStatus::kFailed) {
     // Fault persists: stay fenced, silently re-arm the cooldown.
     arm_cooldown(name);
@@ -943,8 +944,8 @@ void Daemon::cooldown_tick(const std::string& name) {
   log_.info("quarantine of %s cleared: enforcement layer healthy again",
             name.c_str());
   bool claimed = false;
-  if (ours_or_hole && result.ok() && ip_manager_.holds(name)) {
-    table_.set_owner(name, client_.self());
+  if (ours_or_hole && result.ok() && ip_manager_.holds(id)) {
+    table_.set_owner(id, client_.self());
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});
     claimed = true;
@@ -1080,7 +1081,9 @@ void Daemon::run_audit(AuditPoint point) {
     emit(obs::EventType::kSelfHeal,
          {{"action", "fence"}, {"groups", std::to_string(bogus.size())}});
     for (auto id : bogus) {
-      fence_group(group_name(id), "state audit: owner not in view");
+      auto pos = groups_.position_of(id);
+      WAM_ASSERT(pos.has_value());
+      fence_group(*pos, "state audit: owner not in view");
     }
   }
   if (view_tag || (checksum && bogus.empty())) {
@@ -1160,27 +1163,27 @@ void Daemon::resync_tick() {
 
 bool Daemon::chaos_corrupt_vip_owner(int index) {
   if (!running_ || !client_.connected() || state_ == WamState::kIdle ||
-      config_ids_.empty()) {
+      config_pos_.empty()) {
     return false;
   }
-  auto id = config_ids_[static_cast<std::size_t>(index) % config_ids_.size()];
+  auto pos = config_pos_[static_cast<std::size_t>(index) % config_pos_.size()];
   // An identity no view ever contained: trips the checksum, the index
   // agreement AND the owner-not-in-view check.
   gcs::MemberId bogus{net::Ipv4Address(10, 0, 254, 254), 0xC0DE, "bogus"};
-  table_.chaos_set_owner_unchecked(id, bogus);
-  log_.warn("chaos: corrupted owner of %s", group_name(id).c_str());
+  table_.chaos_set_owner_unchecked(groups_.ids[pos], bogus);
+  log_.warn("chaos: corrupted owner of %s", groups_.names[pos].c_str());
   return true;
 }
 
 bool Daemon::chaos_corrupt_index(int index) {
   if (!running_ || !client_.connected() || state_ == WamState::kIdle ||
-      config_ids_.empty()) {
+      config_pos_.empty()) {
     return false;
   }
-  auto id = config_ids_[static_cast<std::size_t>(index) % config_ids_.size()];
+  auto pos = config_pos_[static_cast<std::size_t>(index) % config_pos_.size()];
   gcs::MemberId phantom{net::Ipv4Address(10, 0, 254, 253), 0xBEEF, "phantom"};
-  table_.chaos_corrupt_index_entry(id, phantom);
-  log_.warn("chaos: desynced member index for %s", group_name(id).c_str());
+  table_.chaos_corrupt_index_entry(groups_.ids[pos], phantom);
+  log_.warn("chaos: desynced member index for %s", groups_.names[pos].c_str());
   return true;
 }
 
@@ -1202,13 +1205,15 @@ bool Daemon::chaos_corrupt_view_tag() {
 }
 
 void Daemon::set_preferences(std::vector<std::string> preferred) {
-  config_.preferred = std::move(preferred);
-  config_.validate();
-  preferred_ids_.clear();
-  preferred_ids_.reserve(config_.preferred.size());
-  for (const auto& name : config_.preferred) {
-    preferred_ids_.push_back(intern_group(name));
+  std::vector<GroupId> ids;
+  ids.reserve(preferred.size());
+  for (const auto& name : preferred) {
+    auto pos = groups_.position_of_name(name);
+    WAM_EXPECTS(pos.has_value());
+    ids.push_back(groups_.ids[*pos]);
   }
+  config_.preferred = std::move(preferred);
+  preferred_ids_ = std::move(ids);
 }
 
 }  // namespace wam::wackamole

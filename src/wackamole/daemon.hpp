@@ -217,19 +217,21 @@ class Daemon {
   std::size_t multicast_allocation(const VipTable& table, bool alloc);
   void send_notify(const std::string& group, bool fenced,
                    const std::string& reason);
-  void acquire_group(const std::string& name);
-  void release_group(const std::string& name);
+  // The enforcement calls below take GroupSet positions; the group's name
+  // is read from groups_.names only for logs, events and the cold fencing
+  // state.
+  void acquire_group(std::uint32_t pos);
+  void release_group(std::uint32_t pos);
   void release_everything(const char* cause);
   // ---- Fallible enforcement: retry / backoff / self-fence ----
   /// Delay before the n-th retry (n = failed attempts so far): exponential
   /// from Config::acquire_backoff, capped, with multiplicative jitter.
   [[nodiscard]] sim::Duration backoff_delay(int failed_attempts);
-  void schedule_acquire_retry(const std::string& name,
-                              const OsOpResult& result);
-  void acquire_retry_tick(const std::string& name);
-  void schedule_release_retry(const std::string& name);
-  void release_retry_tick(const std::string& name);
-  void fence_group(const std::string& name, const std::string& reason);
+  void schedule_acquire_retry(std::uint32_t pos, const OsOpResult& result);
+  void acquire_retry_tick(std::uint32_t pos);
+  void schedule_release_retry(std::uint32_t pos);
+  void release_retry_tick(std::uint32_t pos);
+  void fence_group(std::uint32_t pos, const std::string& reason);
   void arm_cooldown(const std::string& name);
   void cooldown_tick(const std::string& name);
   /// Run Reallocate_IPs() over the current holes and act on the result
@@ -278,11 +280,12 @@ class Daemon {
   VipTable table_;
   /// The configured VIP set in dense positional form (built once — the
   /// group list is fixed for the daemon's lifetime). All protocol-layer
-  /// work runs on interned ids/positions; names reappear only at the
-  /// ip_manager/log boundary.
+  /// work runs on interned ids/positions; names reappear only in logs,
+  /// events, NOTIFY and the cold fencing state.
   GroupSet groups_;
-  std::vector<GroupId> config_ids_;     // vip_groups order
-  std::vector<GroupId> preferred_ids_;  // config_.preferred order
+  std::vector<const VipGroup*> group_at_;  // GroupSet position -> group
+  std::vector<std::uint32_t> config_pos_;  // vip_groups order -> position
+  std::vector<GroupId> preferred_ids_;     // config_.preferred order
   std::set<gcs::MemberId> received_;    // STATE_MSG senders this GATHER
   struct PeerInfo {
     bool mature = false;
@@ -292,13 +295,16 @@ class Daemon {
   };
   std::map<gcs::MemberId, PeerInfo> info_;
 
-  /// Per-group OS-op retry state (acquire and release paths).
+  /// Per-group OS-op retry state (acquire and release paths), keyed by
+  /// GroupSet position.
   struct PendingOp {
     int attempts = 0;  // failed attempts so far
     sim::TimerHandle timer;
   };
-  std::map<std::string, PendingOp> pending_acquires_;
-  std::map<std::string, PendingOp> pending_releases_;
+  std::map<std::uint32_t, PendingOp> pending_acquires_;
+  std::map<std::uint32_t, PendingOp> pending_releases_;
+  // Cold fencing state stays name-keyed: the name order of quarantined_
+  // is the order STATE_MSG carries it in.
   std::set<std::string> quarantined_;  // groups we self-fenced
   std::map<std::string, sim::TimerHandle> cooldown_timers_;
   sim::Rng rng_;  // backoff jitter (seeded from the GCS daemon identity)

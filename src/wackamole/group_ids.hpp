@@ -1,11 +1,15 @@
 // Process-wide VIP-group-name interning.
 //
 // The protocol layer identifies VIP groups by dense u32 GroupIds instead of
-// strings: VipTable keys its owner map by id, the allocation procedures run
-// on dense arrays, and the compact wire codecs decode names straight into
-// ids. String names survive only at the boundaries — config parsing,
-// logging/describe output, and the per-message name tables of the wire
-// format (ids are process-local and never leave the process).
+// strings. Because ids are dense (0, 1, 2, ... in first-intern order),
+// every per-VIP structure is a plain array indexed by id: VipTable's owner
+// slots, GroupSet's id -> position map, and the GroupIdSet bitmaps behind
+// VipTable's member index and IpManager's held set. The allocation
+// procedures run on dense positions, and the compact wire codecs decode
+// names straight into ids. String names survive only at the boundaries —
+// config parsing, log lines, obs events, NOTIFY, describe output and the
+// per-message name tables of the wire format (ids are process-local and
+// never leave the process).
 //
 // Ids are assigned in first-intern order, so they are NOT stable across
 // runs or processes: every deterministic decision (allocation order, wire
@@ -14,10 +18,13 @@
 // thread-safe and the id<->name mapping is append-only.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/interner.hpp"
 
@@ -43,5 +50,52 @@ inline std::optional<GroupId> find_group_id(std::string_view name) {
 inline const std::string& group_name(GroupId id) {
   return group_interner().name_of(id);
 }
+
+/// A set of GroupIds as a bitmap over the dense id space plus its size:
+/// O(1) insert/erase/contains, copy and clear are linear memory ops, and
+/// iteration is in ascending id order. The bitmap grows to the largest id
+/// inserted.
+class GroupIdSet {
+ public:
+  [[nodiscard]] bool contains(GroupId id) const {
+    const auto w = id / 64;
+    return w < words_.size() && ((words_[w] >> (id % 64)) & 1u) != 0;
+  }
+  /// No-op if `id` is present.
+  void insert(GroupId id) {
+    const auto w = id / 64;
+    if (w >= words_.size()) words_.resize(w + 1, 0);
+    const auto bit = std::uint64_t{1} << (id % 64);
+    if ((words_[w] & bit) != 0) return;
+    words_[w] |= bit;
+    ++size_;
+  }
+  /// No-op if `id` is absent.
+  void erase(GroupId id) {
+    if (!contains(id)) return;
+    words_[id / 64] &= ~(std::uint64_t{1} << (id % 64));
+    --size_;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Empties the set, keeping the bitmap's capacity.
+  void clear() {
+    std::fill(words_.begin(), words_.end(), 0);
+    size_ = 0;
+  }
+  /// fn(id) for every member, ascending.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (auto bits = words_[w]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<GroupId>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace wam::wackamole

@@ -59,7 +59,8 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
   // A live holder elsewhere in our network component means binding would
   // split client traffic between two MACs; report kConflict and let the
   // protocol's ResolveConflicts() ordering decide who backs off.
-  if (held_.count(group.name) == 0) {
+  const GroupId id = intern_group(group.name);
+  if (!held_.contains(id)) {
     for (const auto& [ip, ifindex] : group.addresses) {
       if (host_.probe_address(ifindex, ip)) {
         if (obs_ != nullptr) {
@@ -75,7 +76,7 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.add_alias(ifindex, ip);
   }
-  held_.insert(group.name);
+  held_.insert(id);
   update_held_gauge();
   announce(group);
   return OsOpResult::success();
@@ -85,13 +86,13 @@ OsOpResult SimIpManager::release(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.remove_alias(ifindex, ip);
   }
-  held_.erase(group.name);
+  held_.erase(intern_group(group.name));
   update_held_gauge();
   return OsOpResult::success();
 }
 
 OsOpResult SimIpManager::announce(const VipGroup& group) {
-  if (held_.count(group.name) == 0) return OsOpResult::success();
+  if (!held_.contains(intern_group(group.name))) return OsOpResult::success();
   expire_notify_targets();
   if (obs_ != nullptr) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kArpAnnounce,
@@ -119,10 +120,6 @@ OsOpResult SimIpManager::announce(const VipGroup& group) {
     }
   }
   return OsOpResult::success();
-}
-
-bool SimIpManager::holds(const std::string& group) const {
-  return held_.count(group) > 0;
 }
 
 void FaultyIpManager::set_sticky_group(const std::string& group, bool on) {
@@ -201,7 +198,7 @@ OsOpResult RecordingIpManager::acquire(const VipGroup& group) {
   ops_.push_back("acquire " + group.name +
                  (r.ok() ? "" : std::string(" [") +
                                     os_op_status_name(r.status) + "]"));
-  if (r.ok()) held_.insert(group.name);
+  if (r.ok()) held_.insert(intern_group(group.name));
   return r;
 }
 
@@ -210,7 +207,7 @@ OsOpResult RecordingIpManager::release(const VipGroup& group) {
   ops_.push_back("release " + group.name +
                  (r.ok() ? "" : std::string(" [") +
                                     os_op_status_name(r.status) + "]"));
-  if (r.ok()) held_.erase(group.name);
+  if (r.ok()) held_.erase(intern_group(group.name));
   return r;
 }
 

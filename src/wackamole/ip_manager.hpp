@@ -13,6 +13,11 @@
 // Every operation returns an OsOpResult: real deployments fail here
 // (EBUSY aliases, dying NICs, lost gratuitous ARPs), and the daemon's
 // retry/backoff/self-fence machinery is driven by these results.
+//
+// holds() is the daemon's per-VIP hot query (every STATE_MSG and
+// BALANCE_MSG asks it for every configured group), so it takes an interned
+// GroupId and the managers keep their held set as a GroupIdSet bitmap.
+// Callers holding a name convert it with find_group_id()/intern_group().
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include "obs/observability.hpp"
 #include "sim/random.hpp"
 #include "wackamole/config.hpp"
+#include "wackamole/group_ids.hpp"
 
 namespace wam::wackamole {
 
@@ -68,7 +74,8 @@ class IpManager {
   /// Re-announce ownership of an already-held group (periodic refresh,
   /// or after learning of new notify targets).
   virtual OsOpResult announce(const VipGroup& group) = 0;
-  [[nodiscard]] virtual bool holds(const std::string& group) const = 0;
+  /// Whether every address of the group is currently bound here.
+  [[nodiscard]] virtual bool holds(GroupId group) const = 0;
   /// Router application: register a host to notify on takeover. Platforms
   /// without ARP-share support ignore this.
   virtual void add_notify_target(net::Ipv4Address /*ip*/) {}
@@ -96,7 +103,9 @@ class SimIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override;
+  [[nodiscard]] bool holds(GroupId group) const override {
+    return held_.contains(group);
+  }
 
   [[nodiscard]] net::Host& host() { return host_; }
 
@@ -112,7 +121,7 @@ class SimIpManager : public IpManager {
   std::map<int, net::Ipv4Address> routers_;  // ifindex -> router ip
   std::map<net::Ipv4Address, sim::TimePoint> notify_targets_;  // ip -> seen
   sim::Duration notify_ttl_ = sim::kZero;
-  std::set<std::string> held_;
+  GroupIdSet held_;  // its size is the held_groups gauge
   obs::Observability* obs_ = nullptr;
   std::string obs_scope_;
 };
@@ -161,7 +170,7 @@ class FaultyIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override {
+  [[nodiscard]] bool holds(GroupId group) const override {
     return inner_.holds(group);
   }
   void add_notify_target(net::Ipv4Address ip) override {
@@ -193,21 +202,20 @@ class RecordingIpManager : public IpManager {
   OsOpResult acquire(const VipGroup& group) override;
   OsOpResult release(const VipGroup& group) override;
   OsOpResult announce(const VipGroup& group) override;
-  [[nodiscard]] bool holds(const std::string& group) const override {
-    return held_.count(group) > 0;
+  [[nodiscard]] bool holds(GroupId group) const override {
+    return held_.contains(group);
   }
 
   void push_result(OsOpResult r) { scripted_.push_back(std::move(r)); }
 
   [[nodiscard]] const std::vector<std::string>& ops() const { return ops_; }
-  [[nodiscard]] const std::set<std::string>& held() const { return held_; }
   void clear_ops() { ops_.clear(); }
 
  private:
   OsOpResult next_result();
 
   std::vector<std::string> ops_;
-  std::set<std::string> held_;
+  GroupIdSet held_;
   std::deque<OsOpResult> scripted_;
 };
 

@@ -1,29 +1,42 @@
 #include "wackamole/vip_table.hpp"
 
-#include <algorithm>
-
 namespace wam::wackamole {
 
-std::uint64_t VipTable::entry_hash(GroupId id, const gcs::MemberId& member) {
+std::uint64_t VipTable::entry_hash(GroupId id, Slot s) const {
   // Identity fields only (daemon ip, client id) — matches operator== and
   // MemberIdHash; the informational name must not perturb the checksum.
-  std::uint64_t h = (static_cast<std::uint64_t>(member.daemon.value()) << 32) |
-                    static_cast<std::uint64_t>(member.client);
+  const auto& m = members_[s.member - 1];
+  std::uint64_t h = (static_cast<std::uint64_t>(m.daemon.value()) << 32) |
+                    static_cast<std::uint64_t>(m.client);
   h ^= 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(id) + 1);
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
   return h;
 }
 
-void VipTable::link(GroupId id, const gcs::MemberId& member) {
-  members_[member].insert(id);
+std::uint32_t VipTable::find_member(const gcs::MemberId& member) const {
+  std::uint32_t i = 0;
+  while (i < members_.size() && !(members_[i].daemon == member.daemon &&
+                                  members_[i].client == member.client)) {
+    ++i;
+  }
+  return i;
 }
 
-void VipTable::unlink(GroupId id, const gcs::MemberId& member) {
-  auto it = members_.find(member);
-  if (it == members_.end()) return;
-  it->second.erase(id);
-  if (it->second.empty()) members_.erase(it);
+VipTable::Slot VipTable::intern_owner(const gcs::MemberId& member) {
+  Slot s;
+  s.member = find_member(member) + 1;
+  if (s.member > members_.size()) {
+    members_.push_back(Member{member.daemon, member.client, {}});
+  }
+  while (s.name < names_.size() && names_[s.name] != member.name) ++s.name;
+  if (s.name == names_.size()) names_.push_back(member.name);
+  return s;
+}
+
+VipTable::Slot& VipTable::slot(GroupId id) {
+  if (id >= slots_.size()) slots_.resize(static_cast<std::size_t>(id) + 1);
+  return slots_[id];
 }
 
 std::optional<gcs::MemberId> VipTable::owner(const std::string& group) const {
@@ -33,9 +46,8 @@ std::optional<gcs::MemberId> VipTable::owner(const std::string& group) const {
 }
 
 std::optional<gcs::MemberId> VipTable::owner(GroupId id) const {
-  auto it = owners_.find(id);
-  if (it == owners_.end()) return std::nullopt;
-  return it->second;
+  if (id >= slots_.size() || slots_[id].member == 0) return std::nullopt;
+  return member_of(slots_[id]);
 }
 
 void VipTable::set_owner(const std::string& group,
@@ -44,18 +56,21 @@ void VipTable::set_owner(const std::string& group,
 }
 
 void VipTable::set_owner(GroupId id, const gcs::MemberId& member) {
-  auto [it, inserted] = owners_.try_emplace(id, member);
-  if (!inserted) {
-    if (it->second == member) {
-      it->second = member;  // refresh the informational name
-      return;
-    }
-    unlink(id, it->second);
-    checksum_ ^= entry_hash(id, it->second);
-    it->second = member;
+  const Slot next = intern_owner(member);
+  Slot& s = slot(id);
+  if (s.member == next.member) {
+    s.name = next.name;  // refresh the informational name
+    return;
   }
-  checksum_ ^= entry_hash(id, member);
-  link(id, member);
+  if (s.member != 0) {
+    unlink(id, s);
+    checksum_ ^= entry_hash(id, s);
+  } else {
+    ++size_;
+  }
+  s = next;
+  checksum_ ^= entry_hash(id, s);
+  link(id, s);
 }
 
 void VipTable::clear_owner(const std::string& group) {
@@ -64,24 +79,26 @@ void VipTable::clear_owner(const std::string& group) {
 }
 
 void VipTable::clear_owner(GroupId id) {
-  auto it = owners_.find(id);
-  if (it == owners_.end()) return;
-  unlink(id, it->second);
-  checksum_ ^= entry_hash(id, it->second);
-  owners_.erase(it);
+  if (id >= slots_.size() || slots_[id].member == 0) return;
+  Slot& s = slots_[id];
+  unlink(id, s);
+  checksum_ ^= entry_hash(id, s);
+  s = Slot{};
+  --size_;
 }
 
 std::size_t VipTable::load_of(const gcs::MemberId& member) const {
-  auto it = members_.find(member);
-  return it == members_.end() ? 0 : it->second.size();
+  auto i = find_member(member);
+  return i == members_.size() ? 0 : members_[i].groups.size();
 }
 
 std::vector<std::string> VipTable::owned_by(const gcs::MemberId& member) const {
   std::vector<std::string> out;
-  auto it = members_.find(member);
-  if (it == members_.end()) return out;
-  out.reserve(it->second.size());
-  for (GroupId id : it->second) out.push_back(group_name(id));
+  auto i = find_member(member);
+  if (i == members_.size()) return out;
+  out.reserve(members_[i].groups.size());
+  members_[i].groups.for_each(
+      [&](GroupId id) { out.push_back(group_name(id)); });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -91,7 +108,7 @@ std::vector<std::string> VipTable::uncovered(
   std::vector<std::string> out;
   for (const auto& name : all) {
     auto id = find_group_id(name);
-    if (!id || owners_.count(*id) == 0) out.push_back(name);
+    if (!id || !owner(*id)) out.push_back(name);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -99,7 +116,9 @@ std::vector<std::string> VipTable::uncovered(
 
 std::map<std::string, gcs::MemberId> VipTable::owners() const {
   std::map<std::string, gcs::MemberId> out;
-  for (const auto& [id, member] : owners_) out.emplace(group_name(id), member);
+  for_each_owner([&](GroupId id, gcs::MemberId member) {
+    out.emplace(group_name(id), std::move(member));
+  });
   return out;
 }
 
@@ -111,69 +130,77 @@ VipTable::ClaimResult VipTable::claim(const std::string& group,
 
 VipTable::ClaimResult VipTable::claim(GroupId id, const gcs::MemberId& claimant,
                                       const gcs::GroupView& view) {
-  auto it = owners_.find(id);
-  if (it == owners_.end()) {
-    owners_.emplace(id, claimant);
-    checksum_ ^= entry_hash(id, claimant);
-    link(id, claimant);
+  const Slot next = intern_owner(claimant);
+  Slot& s = slot(id);
+  if (s.member == 0) {
+    s = next;
+    ++size_;
+    checksum_ ^= entry_hash(id, s);
+    link(id, s);
     return {true, std::nullopt};
   }
-  if (it->second == claimant) return {true, std::nullopt};
+  if (s.member == next.member) return {true, std::nullopt};
 
   // Conflict: the member later in the uniquely ordered list keeps the group.
-  int existing_rank = view.rank_of(it->second);
-  int claimant_rank = view.rank_of(claimant);
-  if (claimant_rank > existing_rank) {
-    auto dropped = it->second;
-    unlink(id, dropped);
-    checksum_ ^= entry_hash(id, dropped) ^ entry_hash(id, claimant);
-    it->second = claimant;
-    link(id, claimant);
-    return {true, dropped};
+  auto existing = member_of(s);
+  if (view.rank_of(claimant) > view.rank_of(existing)) {
+    unlink(id, s);
+    checksum_ ^= entry_hash(id, s) ^ entry_hash(id, next);
+    s = next;
+    link(id, s);
+    return {true, std::move(existing)};
   }
   return {false, claimant};
 }
 
 bool VipTable::verify_checksum() const {
   std::uint64_t expect = 0;
-  for (const auto& [id, member] : owners_) expect ^= entry_hash(id, member);
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].member != 0) {
+      expect ^= entry_hash(static_cast<GroupId>(id), slots_[id]);
+    }
+  }
   return expect == checksum_;
 }
 
 bool VipTable::verify_index() const {
   std::size_t indexed = 0;
-  for (const auto& [member, ids] : members_) {
-    if (ids.empty()) return false;  // unlink() always drops empty sets
-    indexed += ids.size();
-    for (GroupId id : ids) {
-      auto it = owners_.find(id);
-      if (it == owners_.end() || !(it->second == member)) return false;
-    }
+  bool agree = true;
+  for (std::uint32_t i = 0; i < members_.size(); ++i) {
+    indexed += members_[i].groups.size();
+    members_[i].groups.for_each([&](GroupId id) {
+      if (id >= slots_.size() || slots_[id].member != i + 1) agree = false;
+    });
   }
-  return indexed == owners_.size();
+  return agree && indexed == size_;
 }
 
 void VipTable::rebuild() {
-  members_.clear();
+  for (auto& m : members_) m.groups.clear();
   checksum_ = 0;
-  for (const auto& [id, member] : owners_) {
-    members_[member].insert(id);
-    checksum_ ^= entry_hash(id, member);
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].member == 0) continue;
+    link(static_cast<GroupId>(id), slots_[id]);
+    checksum_ ^= entry_hash(static_cast<GroupId>(id), slots_[id]);
   }
 }
 
 void VipTable::chaos_set_owner_unchecked(GroupId id,
                                          const gcs::MemberId& member) {
-  owners_[id] = member;  // deliberately skips unlink/link and the checksum
+  // Deliberately skips unlink/link and the checksum.
+  const Slot next = intern_owner(member);
+  Slot& s = slot(id);
+  if (s.member == 0) ++size_;
+  s = next;
 }
 
 void VipTable::chaos_corrupt_index_entry(GroupId id,
                                          const gcs::MemberId& bogus) {
-  auto it = owners_.find(id);
-  if (it != owners_.end() && load_of(it->second) > 0) {
-    unlink(id, it->second);  // indexed entry vanishes; owner map keeps it
+  if (id < slots_.size() && slots_[id].member != 0 &&
+      !members_[slots_[id].member - 1].groups.empty()) {
+    unlink(id, slots_[id]);  // indexed entry vanishes; the slot keeps it
   } else {
-    link(id, bogus);  // phantom entry the owner map never had
+    link(id, intern_owner(bogus));  // phantom entry no slot ever had
   }
 }
 
@@ -181,10 +208,10 @@ std::string VipTable::describe() const {
   // Single pass over a name-sorted snapshot with the exact capacity
   // reserved up front — no quadratic append-to-growing-temporary churn.
   std::vector<std::pair<const std::string*, std::string>> entries;
-  entries.reserve(owners_.size());
-  for (const auto& [id, member] : owners_) {
+  entries.reserve(size_);
+  for_each_owner([&](GroupId id, const gcs::MemberId& member) {
     entries.emplace_back(&group_name(id), member.to_string());
-  }
+  });
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
   std::size_t total = 2;  // braces

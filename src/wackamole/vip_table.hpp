@@ -1,21 +1,28 @@
 // The current_table of the Wackamole algorithm: which member covers which
 // VIP group, plus the conflict-resolution rule of ResolveConflicts().
 //
-// Indexed representation: the owner map is keyed by interned GroupId and a
-// member->owned-groups index is maintained incrementally on every
-// set_owner/clear_owner/claim, so load_of() is O(1) and owned_by() is
-// O(k log k) instead of the old full-map rescans. Everything that leaves
-// the table in bulk (owners(), owned_by(), uncovered(), describe()) is
-// sorted by group NAME — GroupIds are process-local first-use ids and must
-// never order deterministic output.
+// Dense representation: GroupIds are the process-wide dense interned ids,
+// so the owner map is a vector of slots indexed by id, sized to the
+// largest id the table has seen. A slot names its owner by two small
+// indexes — into the table's member list (identity: daemon ip, client id)
+// and into its list of informational names — so the slot vector is
+// trivially copyable and clear()/copy are linear memory operations. The
+// member->owned-groups index is one GroupIdSet bitmap plus a count per
+// member, maintained incrementally on every set_owner/clear_owner/claim:
+// load_of() scans the few members and reads a count, owned_by() walks one
+// bitmap. Everything that
+// leaves the table in bulk (owners(), owned_by(), uncovered(), describe())
+// is sorted by group NAME — GroupIds are process-local first-use ids and
+// must never order deterministic output; for_each_owner() visits in
+// ascending id order and its callers sort.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gcs/types.hpp"
@@ -36,8 +43,10 @@ struct MemberIdHash {
 class VipTable {
  public:
   void clear() {
-    owners_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
     members_.clear();
+    names_.clear();
+    size_ = 0;
     checksum_ = 0;
   }
 
@@ -51,24 +60,29 @@ class VipTable {
   [[nodiscard]] std::optional<gcs::MemberId> owner(GroupId id) const;
   void set_owner(GroupId id, const gcs::MemberId& member);
   void clear_owner(GroupId id);
-  /// Raw owner map; iteration order is arbitrary — sort by name before
-  /// producing any deterministic output from it.
-  [[nodiscard]] const std::unordered_map<GroupId, gcs::MemberId>& owner_ids()
-      const {
-    return owners_;
+  /// fn(id, owner) for every entry, in ascending id order — sort by name
+  /// (or GroupSet position) before producing deterministic output.
+  template <class Fn>
+  void for_each_owner(Fn&& fn) const {
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id].member != 0) {
+        fn(static_cast<GroupId>(id), member_of(slots_[id]));
+      }
+    }
   }
-  [[nodiscard]] std::size_t size() const { return owners_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Number of groups owned by `member` — O(1).
+  /// Number of groups owned by `member` — O(members).
   [[nodiscard]] std::size_t load_of(const gcs::MemberId& member) const;
-  /// Groups owned by `member`, sorted by name — O(k log k).
+  /// Groups owned by `member`, sorted by name — a bitmap walk plus a sort
+  /// of its k names.
   [[nodiscard]] std::vector<std::string> owned_by(
       const gcs::MemberId& member) const;
   /// Groups in `all` with no owner, sorted.
   [[nodiscard]] std::vector<std::string> uncovered(
       const std::vector<std::string>& all) const;
   /// Name-sorted snapshot of the full table (materialized per call; hot
-  /// paths should use owner_ids() or the id lookups instead).
+  /// paths should use for_each_owner() or the id lookups instead).
   [[nodiscard]] std::map<std::string, gcs::MemberId> owners() const;
 
   /// ResolveConflicts() for one claim: `claimant` reports covering `group`.
@@ -92,13 +106,13 @@ class VipTable {
   /// Incrementally maintained XOR checksum over every (group, owner)
   /// entry. O(1) to read; any single corrupted entry flips it.
   [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
-  /// Recompute the checksum from owners_ and compare — O(V).
+  /// Recompute the checksum from the owner slots and compare — O(V).
   [[nodiscard]] bool verify_checksum() const;
-  /// Recompute the member->groups index from owners_ and compare — O(V).
-  /// Detects index drift that the checksum (owners_-only) cannot see.
+  /// Recompute the member->groups index from the owner slots and compare —
+  /// O(V). Detects index drift that the checksum (slots-only) cannot see.
   [[nodiscard]] bool verify_index() const;
   /// Discard and rebuild the derived state (index + checksum) from the
-  /// owner map. The owner map itself is the recovery root here; entries
+  /// owner slots. The slots themselves are the recovery root here; entries
   /// that are wrong against the VIEW are the daemon's job to fence.
   void rebuild();
 
@@ -111,14 +125,36 @@ class VipTable {
   void chaos_corrupt_index_entry(GroupId id, const gcs::MemberId& bogus);
 
  private:
-  void link(GroupId id, const gcs::MemberId& member);
-  void unlink(GroupId id, const gcs::MemberId& member);
-  static std::uint64_t entry_hash(GroupId id, const gcs::MemberId& member);
+  /// One owner entry; member == 0 marks an empty slot.
+  struct Slot {
+    std::uint32_t member = 0;  // 1 + index into members_
+    std::uint32_t name = 0;    // index into names_
+  };
+  /// One owner identity and the groups indexed under it.
+  struct Member {
+    gcs::DaemonId daemon;
+    std::uint32_t client = 0;
+    GroupIdSet groups;
+  };
 
-  std::unordered_map<GroupId, gcs::MemberId> owners_;
-  /// member -> groups it owns; load_of() is the set size.
-  std::unordered_map<gcs::MemberId, std::unordered_set<GroupId>, MemberIdHash>
-      members_;
+  [[nodiscard]] gcs::MemberId member_of(Slot s) const {
+    const auto& m = members_[s.member - 1];
+    return gcs::MemberId{m.daemon, m.client, names_[s.name]};
+  }
+  /// Index of `member`'s identity in members_, or members_.size().
+  [[nodiscard]] std::uint32_t find_member(const gcs::MemberId& member) const;
+  /// The slot naming `member`, adding its identity and name on first use.
+  Slot intern_owner(const gcs::MemberId& member);
+  Slot& slot(GroupId id);
+  void link(GroupId id, Slot s) { members_[s.member - 1].groups.insert(id); }
+  void unlink(GroupId id, Slot s) { members_[s.member - 1].groups.erase(id); }
+  /// The checksum term of one entry: identity fields only.
+  [[nodiscard]] std::uint64_t entry_hash(GroupId id, Slot s) const;
+
+  std::vector<Slot> slots_;  // indexed by GroupId
+  std::vector<Member> members_;
+  std::vector<std::string> names_;
+  std::size_t size_ = 0;
   std::uint64_t checksum_ = 0;
 };
 

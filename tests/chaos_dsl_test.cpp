@@ -103,9 +103,29 @@ TEST(ScenarioParse, Errors) {
            "chaos cluster turbo\n",
            "chaos cluster\ngcs default\n",  // world is the campaign's
            "chaos cluster\nat 5 coverage\n",
+           // One artifact per script, and a world sized before any action
+           // is checked against it.
+           "chaos cluster\nchaos router\n",
+           "chaos cluster\nservers 2\nrun 5\nchaos cluster\n",
+           "servers 4\nat 5 disconnect server4\nservers 2\n",
+           "vips 8\nat 5 probe 7\nvips 2\n",
+           "servers 2\nat 5 merge\nvips 2\n",
        }) {
     EXPECT_THROW((void)parse_dsl(text), std::invalid_argument) << text;
   }
+}
+
+// `chaos_campaign --seed 4 --dsl` prints a cluster and a router artifact
+// back to back; the file holding both is not one script and must be
+// rejected, not replayed against a world resized under its actions.
+TEST(ScenarioParse, TwoArtifactFileIsRejected) {
+  CampaignOptions opt;
+  opt.shrink = false;
+  const auto cluster = run_seed(4, Profile::kCluster, opt).dsl;
+  const auto router = run_seed(4, Profile::kRouter, opt).dsl;
+  EXPECT_NO_THROW((void)parse_dsl(cluster));
+  EXPECT_NO_THROW((void)parse_dsl(router));
+  EXPECT_THROW((void)parse_dsl(cluster + router), std::invalid_argument);
 }
 
 // Every millisecond in [0, 200 s] prints as "%.3f" and parses back to the

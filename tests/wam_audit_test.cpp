@@ -43,8 +43,10 @@ TEST(VipTableGuard, StrayWriteFlipsTheChecksum) {
   VipTable t;
   t.set_owner("vip0", member(1, 1));
   t.set_owner("vip1", member(2, 2));
+  VipTable grown = t;
   t.chaos_set_owner_unchecked(intern_group("vip0"), member(9, 9));
   EXPECT_FALSE(t.verify_checksum());
+  EXPECT_FALSE(t.verify_index());  // vip0 is still indexed under s1
   // The owner map is the recovery root: rebuild() recomputes the derived
   // state from it, it does not guess the pre-corruption owner back.
   t.rebuild();
@@ -52,6 +54,18 @@ TEST(VipTableGuard, StrayWriteFlipsTheChecksum) {
   EXPECT_TRUE(t.verify_index());
   ASSERT_TRUE(t.owner("vip0").has_value());
   EXPECT_EQ(t.owner("vip0")->daemon, member(9, 9).daemon);
+  EXPECT_EQ(t.load_of(member(9, 9)), 1u);
+  EXPECT_EQ(t.load_of(member(1, 1)), 0u);
+
+  // A stray write into a never-owned slot adds an unindexed entry.
+  grown.chaos_set_owner_unchecked(intern_group("vip2"), member(1, 1));
+  EXPECT_EQ(grown.size(), 3u);
+  EXPECT_FALSE(grown.verify_checksum());
+  EXPECT_FALSE(grown.verify_index());
+  grown.rebuild();
+  EXPECT_TRUE(grown.verify_checksum());
+  EXPECT_TRUE(grown.verify_index());
+  EXPECT_EQ(grown.load_of(member(1, 1)), 2u);
 }
 
 TEST(VipTableGuard, IndexDesyncIsDetectedSeparatelyFromTheChecksum) {

@@ -26,6 +26,34 @@ std::vector<std::string> groups(int n) {
   return out;
 }
 
+TEST(GroupSet, PositionOfKnownUnknownAndOutOfRangeIds) {
+  GroupSet set({"gs-b", "gs-a", "gs-c"});
+  ASSERT_EQ(set.names, (std::vector<std::string>{"gs-a", "gs-b", "gs-c"}));
+  for (std::uint32_t p = 0; p < set.size(); ++p) {
+    EXPECT_EQ(set.position_of(set.ids[p]), p);
+  }
+  // Interned, but not in the set.
+  const auto outsider = intern_group("gs-outsider");
+  EXPECT_FALSE(set.position_of(outsider).has_value());
+  // Interned after the set was built: beyond its id table.
+  const auto late =
+      intern_group("gs-late-" + std::to_string(group_interner().size()));
+  EXPECT_FALSE(set.position_of(late).has_value());
+  EXPECT_FALSE(set.position_of(UINT32_MAX - 1).has_value());
+  EXPECT_EQ(set.position_of_name("gs-b"), 1u);
+  EXPECT_FALSE(set.position_of_name("gs-outsider").has_value());
+  EXPECT_FALSE(set.position_of_name("gs-d").has_value());  // past the end
+}
+
+TEST(GroupSet, FirstOccurrenceIsTheCanonicalPosition) {
+  GroupSet set({"gs-dup", "gs-a", "gs-dup"});
+  ASSERT_EQ(set.names,
+            (std::vector<std::string>{"gs-a", "gs-dup", "gs-dup"}));
+  EXPECT_EQ(set.position_of(intern_group("gs-dup")), 1u);
+  EXPECT_EQ(set.position_of_name("gs-dup"), 1u);
+  EXPECT_EQ(set.canonical, (std::vector<std::uint32_t>{0, 1, 1}));
+}
+
 TEST(Reallocate, CoversAllHolesExactlyOnce) {
   VipTable table;
   auto all = groups(10);

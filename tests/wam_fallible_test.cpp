@@ -14,6 +14,9 @@ namespace {
 
 using wackamole::OsOpResult;
 
+/// The id of test_config(1)'s single VIP group.
+wackamole::GroupId vip0() { return wackamole::intern_group("10.0.0.100"); }
+
 /// test_config(1) with deterministic backoff (no jitter, 100 ms base).
 wackamole::Config fallible_config(int vips = 1) {
   auto c = test_config(vips);
@@ -52,7 +55,7 @@ TEST(WamFallible, RetryBackoffScheduleIsExponential) {
             (std::vector<std::string>{"acquire 10.0.0.100 [failed]",
                                       "acquire 10.0.0.100 [failed]",
                                       "acquire 10.0.0.100"}));
-  EXPECT_TRUE(mgr.holds("10.0.0.100"));
+  EXPECT_TRUE(mgr.holds(vip0()));
   EXPECT_EQ(c.wams[0]->counters().acquire_failures.value(), 2u);
   EXPECT_EQ(c.wams[0]->counters().acquire_retries.value(), 2u);
   EXPECT_EQ(c.wams[0]->counters().groups_fenced.value(), 0u);
@@ -80,7 +83,7 @@ void settle_with_s2_holding(WamCluster& c) {
   c.wams[1]->start();
   c.wams[2]->start();
   c.run(sim::seconds(5.0));
-  ASSERT_TRUE(c.ipmgrs[1]->holds("10.0.0.100"));
+  ASSERT_TRUE(c.ipmgrs[1]->holds(vip0()));
   c.wams[0]->start();  // joins; s2's claim leaves no hole for s1
   c.run(sim::seconds(3.0));
   ASSERT_TRUE(c.ipmgrs[0]->ops().empty());
@@ -102,8 +105,8 @@ TEST(WamFallible, BudgetExhaustionFencesAndPeerTakesOver) {
   c.run(sim::seconds(0.5));  // let the NOTIFY-triggered realloc land
 
   EXPECT_TRUE(c.wams[0]->quarantined("10.0.0.100"));
-  EXPECT_FALSE(c.ipmgrs[0]->holds("10.0.0.100"));
-  EXPECT_TRUE(c.ipmgrs[2]->holds("10.0.0.100"))
+  EXPECT_FALSE(c.ipmgrs[0]->holds(vip0()));
+  EXPECT_TRUE(c.ipmgrs[2]->holds(vip0()))
       << "NOTIFY must migrate coverage to the healthy peer";
   EXPECT_EQ(c.wams[0]->counters().groups_fenced.value(), 1u);
   EXPECT_EQ(c.wams[0]->counters().acquire_failures.value(), 4u);
@@ -115,13 +118,13 @@ TEST(WamFallible, BudgetExhaustionFencesAndPeerTakesOver) {
   c.run(sim::seconds(6.0));
   EXPECT_FALSE(c.wams[0]->quarantined("10.0.0.100"));
   EXPECT_EQ(c.wams[0]->counters().groups_unfenced.value(), 1u);
-  EXPECT_TRUE(c.ipmgrs[2]->holds("10.0.0.100"));  // no churn on clear
+  EXPECT_TRUE(c.ipmgrs[2]->holds(vip0()));  // no churn on clear
 
   // After the clear the member is eligible again: lose the current holder
   // and the group must come back to the once-fenced server.
   c.daemons[2]->stop();
   c.run(sim::seconds(10.0));
-  EXPECT_TRUE(c.ipmgrs[0]->holds("10.0.0.100"));
+  EXPECT_TRUE(c.ipmgrs[0]->holds(vip0()));
   EXPECT_EQ(c.holders("10.0.0.100", {0, 1, 2}), 1);
 }
 
@@ -144,7 +147,7 @@ TEST(WamFallible, QuarantineSticksWhileProbeKeepsFailing) {
   c.run(sim::seconds(5.0));  // two cooldown probes, both scripted to fail
   EXPECT_TRUE(c.wams[0]->quarantined("10.0.0.100"));
   EXPECT_EQ(c.wams[0]->counters().groups_unfenced.value(), 0u);
-  EXPECT_TRUE(c.ipmgrs[2]->holds("10.0.0.100"));
+  EXPECT_TRUE(c.ipmgrs[2]->holds(vip0()));
 
   // Once the queue drains, the next probe succeeds and the fence lifts.
   ASSERT_TRUE(run_until(

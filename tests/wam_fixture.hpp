@@ -38,9 +38,10 @@ struct WamCluster : GcsCluster {
 
   /// Coverage of `group` among the given server indices.
   int holders(const std::string& group, const std::vector<int>& servers) {
+    const auto id = wackamole::intern_group(group);
     int n = 0;
     for (int idx : servers) {
-      if (ipmgrs[static_cast<std::size_t>(idx)]->holds(group)) ++n;
+      if (ipmgrs[static_cast<std::size_t>(idx)]->holds(id)) ++n;
     }
     return n;
   }

@@ -30,12 +30,12 @@ struct IpManagerTest : ::testing::Test {
 
 TEST_F(IpManagerTest, AcquireBindsAndHolds) {
   SimIpManager mgr(*server);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   mgr.acquire(group);
-  EXPECT_TRUE(mgr.holds("web"));
+  EXPECT_TRUE(mgr.holds(intern_group("web")));
   EXPECT_TRUE(server->owns_ip(net::Ipv4Address(10, 0, 0, 100)));
   mgr.release(group);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   EXPECT_FALSE(server->owns_ip(net::Ipv4Address(10, 0, 0, 100)));
 }
 
@@ -126,7 +126,7 @@ TEST_F(IpManagerTest, RecordingManagerTracksOps) {
   EXPECT_EQ(mgr.ops(),
             (std::vector<std::string>{"acquire web", "announce web",
                                       "release web"}));
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
 }
 
 TEST_F(IpManagerTest, MultiAddressGroupBindsEverything) {
@@ -174,7 +174,7 @@ TEST_F(IpManagerTest, AcquireDetectsDuplicateAddress) {
   SimIpManager mgr(*server);
   auto r = mgr.acquire(group);
   EXPECT_EQ(r.status, OsOpStatus::kConflict);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   EXPECT_FALSE(server->owns_ip(net::Ipv4Address(10, 0, 0, 100)));
 
   // Once the rightful holder releases, acquisition goes through.
@@ -196,7 +196,7 @@ TEST_F(IpManagerTest, FaultyDefaultsArePassThrough) {
   SimIpManager inner(*server);
   FaultyIpManager mgr(inner, 42);
   EXPECT_TRUE(mgr.acquire(group).ok());
-  EXPECT_TRUE(mgr.holds("web"));
+  EXPECT_TRUE(mgr.holds(intern_group("web")));
   EXPECT_TRUE(mgr.announce(group).ok());
   EXPECT_TRUE(mgr.release(group).ok());
   EXPECT_EQ(mgr.failures_injected(), 0u);
@@ -207,13 +207,13 @@ TEST_F(IpManagerTest, FaultyStickyFailsAcquireAndAnnounceUntilHealed) {
   FaultyIpManager mgr(inner, 42);
   mgr.set_sticky_group("web", true);
   EXPECT_EQ(mgr.acquire(group).status, OsOpStatus::kFailed);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   // Sticky state fails the side-effect-free health probe too.
   EXPECT_EQ(mgr.announce(group).status, OsOpStatus::kFailed);
   EXPECT_EQ(mgr.failures_injected(), 2u);
   mgr.heal();
   EXPECT_TRUE(mgr.acquire(group).ok());
-  EXPECT_TRUE(mgr.holds("web"));
+  EXPECT_TRUE(mgr.holds(intern_group("web")));
 }
 
 TEST_F(IpManagerTest, FaultyProbabilityOneAlwaysFails) {
@@ -262,15 +262,63 @@ TEST_F(IpManagerTest, RecordingManagerScriptedResults) {
   mgr.push_result(OsOpResult::failed("ebusy"));
   mgr.push_result(OsOpResult::conflict("dup"));
   EXPECT_EQ(mgr.acquire(group).status, OsOpStatus::kFailed);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   EXPECT_EQ(mgr.acquire(group).status, OsOpStatus::kConflict);
-  EXPECT_FALSE(mgr.holds("web"));
+  EXPECT_FALSE(mgr.holds(intern_group("web")));
   EXPECT_TRUE(mgr.acquire(group).ok());  // queue drained: success again
-  EXPECT_TRUE(mgr.holds("web"));
+  EXPECT_TRUE(mgr.holds(intern_group("web")));
   EXPECT_EQ(mgr.ops(),
             (std::vector<std::string>{"acquire web [failed]",
                                       "acquire web [conflict]",
                                       "acquire web"}));
+}
+
+// holds() is keyed by interned id; every manager flips it only on a
+// successful acquire or release.
+TEST_F(IpManagerTest, HoldsByIdAcrossAcquireReleaseAndFailedAcquire) {
+  obs::Observability obs;
+  const auto web = intern_group("web");
+  const auto other = intern_group("web-other");
+  VipGroup second{"web-other", {{net::Ipv4Address(10, 0, 0, 101), 0}}};
+
+  SimIpManager sim_mgr(*server);
+  sim_mgr.bind_observability(obs, "ip/s1");
+  auto held_gauge = [&] {
+    return obs.registry.gauge_value("ip/s1/held_groups");
+  };
+  FaultyIpManager faulty_mgr(sim_mgr, 7);
+  RecordingIpManager rec_mgr;
+
+  // A failed acquire leaves nothing held: a duplicate address for the Sim
+  // manager, a sticky fault for the decorator, a scripted failure for the
+  // recorder.
+  peer->add_alias(0, net::Ipv4Address(10, 0, 0, 101));
+  EXPECT_EQ(sim_mgr.acquire(second).status, OsOpStatus::kConflict);
+  EXPECT_FALSE(sim_mgr.holds(other));
+  faulty_mgr.set_sticky_group("web", true);
+  EXPECT_EQ(faulty_mgr.acquire(group).status, OsOpStatus::kFailed);
+  EXPECT_FALSE(faulty_mgr.holds(web));
+  rec_mgr.push_result(OsOpResult::failed("ebusy"));
+  EXPECT_EQ(rec_mgr.acquire(group).status, OsOpStatus::kFailed);
+  EXPECT_FALSE(rec_mgr.holds(web));
+  EXPECT_EQ(held_gauge(), 0.0);
+
+  faulty_mgr.heal();
+  ASSERT_TRUE(faulty_mgr.acquire(group).ok());
+  ASSERT_TRUE(rec_mgr.acquire(group).ok());
+  EXPECT_TRUE(sim_mgr.holds(web));
+  EXPECT_TRUE(faulty_mgr.holds(web));
+  EXPECT_TRUE(rec_mgr.holds(web));
+  EXPECT_FALSE(sim_mgr.holds(other));
+  EXPECT_FALSE(rec_mgr.holds(other));
+  EXPECT_EQ(held_gauge(), 1.0);
+
+  ASSERT_TRUE(faulty_mgr.release(group).ok());
+  ASSERT_TRUE(rec_mgr.release(group).ok());
+  EXPECT_FALSE(sim_mgr.holds(web));
+  EXPECT_FALSE(faulty_mgr.holds(web));
+  EXPECT_FALSE(rec_mgr.holds(web));
+  EXPECT_EQ(held_gauge(), 0.0);
 }
 
 }  // namespace

@@ -54,9 +54,10 @@ struct SharedGcsTest : ::testing::Test {
   int holders(std::vector<std::unique_ptr<wackamole::RecordingIpManager>>&
                   mgrs,
               const std::string& group, const std::vector<int>& servers) {
+    const auto id = wackamole::intern_group(group);
     int n = 0;
     for (int idx : servers) {
-      if (mgrs[static_cast<std::size_t>(idx)]->holds(group)) ++n;
+      if (mgrs[static_cast<std::size_t>(idx)]->holds(id)) ++n;
     }
     return n;
   }

@@ -7,14 +7,21 @@
 
 namespace wam::apps {
 
-namespace {
-constexpr int kVipBase = 100;  // narrow mode: VIPs are 10.0.0.(100+k)
-// Wide mode (num_vips > 100): the cluster segment becomes 10.0.0.0/16 and
-// VIPs live at 10.0.(16 + k/256).(k % 256), clear of the server block
-// (10.0.0.x) and the infrastructure block (10.0.255.x). Narrow-mode
-// layouts are bit-for-bit what they always were, so pinned chaos seeds
-// keep replaying byte-identically.
-constexpr int kWideVipSubnetBase = 16;
+net::Ipv4Address vip_address(int index, int num_vips) {
+  if (num_vips <= 100) {
+    return net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(100 + index));
+  }
+  return net::Ipv4Address(10, 0, static_cast<std::uint8_t>(16 + index / 256),
+                          static_cast<std::uint8_t>(index % 256));
+}
+
+net::Ipv4Address lan_client_address(int i, bool wide) {
+  return net::Ipv4Address(10, 0, wide ? 255 : 0,
+                          static_cast<std::uint8_t>(253 - i));
+}
+
+int client_shard(int i, int shards) {
+  return shards <= 1 ? 0 : 1 + (i % (shards - 1));
 }
 
 ClusterScenario::ClusterScenario(ClusterOptions options)
@@ -59,7 +66,7 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
                             24);
   }
   for (int i = 0; i < options_.load_clients; ++i) {
-    const int shard = shard_for_client(i);
+    const int shard = client_shard(i, options_.shards);
     // A client on shard k schedules its timers (and receives its frames)
     // on shard k's run-loop; non-zero shards log nowhere, since the shared
     // Log reads shard 0's clock.
@@ -75,12 +82,7 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
                             24);
       client->set_default_gateway(net::Ipv4Address(172, 16, 0, 1));
     } else {
-      const auto ip =
-          wide ? net::Ipv4Address(10, 0, 255,
-                                  static_cast<std::uint8_t>(253 - i))
-               : net::Ipv4Address(10, 0, 0,
-                                  static_cast<std::uint8_t>(253 - i));
-      client->add_interface(cluster_seg_, ip, prefix);
+      client->add_interface(cluster_seg_, lan_client_address(i, wide), prefix);
     }
     if (shards_) fabric.assign_shard(client->nic_id(0), shard);
     clients_.push_back(std::move(client));
@@ -136,11 +138,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     wams_.push_back(std::move(wamd));
     echos_.push_back(std::move(echo));
   }
-}
-
-int ClusterScenario::shard_for_client(int i) const {
-  const int s = options_.shards;
-  return s <= 1 ? 0 : 1 + (i % (s - 1));
 }
 
 void ClusterScenario::advance_to(sim::TimePoint t) {
@@ -377,13 +374,7 @@ net::Ipv4Address ClusterScenario::vip(int index) const {
 }
 
 net::Ipv4Address ClusterScenario::vip_address(int index) const {
-  if (options_.num_vips <= 100) {
-    return net::Ipv4Address(10, 0, 0,
-                            static_cast<std::uint8_t>(kVipBase + index));
-  }
-  return net::Ipv4Address(
-      10, 0, static_cast<std::uint8_t>(kWideVipSubnetBase + index / 256),
-      static_cast<std::uint8_t>(index % 256));
+  return apps::vip_address(index, options_.num_vips);
 }
 
 int ClusterScenario::coverage_count(net::Ipv4Address ip,

@@ -24,6 +24,18 @@
 
 namespace wam::apps {
 
+/// The VIP layout every protocol serves: 10.0.0.(100+k) up to 100 VIPs
+/// (the historical layout pinned by chaos replay seeds). Beyond that the
+/// LAN is a /16 and VIP k is 10.0.(16 + k/256).(k % 256), clear of the
+/// servers (10.0.0.x) and the infrastructure block (10.0.255.x).
+[[nodiscard]] net::Ipv4Address vip_address(int index, int num_vips);
+/// Load client `i` on the servers' LAN: host .253 - i, in the 10.0.255.x
+/// block when the LAN is wide (> 100 VIPs), else in 10.0.0.x.
+[[nodiscard]] net::Ipv4Address lan_client_address(int i, bool wide);
+/// Shard of load client `i`: protocol work keeps shard 0, so clients go
+/// round-robin over shards 1..shards-1 (shard 0 when unsharded).
+[[nodiscard]] int client_shard(int i, int shards);
+
 struct ClusterOptions {
   int num_servers = 3;
   int num_vips = 10;  // the paper's experiments maintain 10 VIPs
@@ -142,9 +154,7 @@ class ClusterScenario {
 
   // ---- queries ----
   [[nodiscard]] net::Ipv4Address vip(int index) const;
-  /// Address layout behind vip(): 10.0.0.(100+k) up to 100 VIPs (the
-  /// historical layout pinned by chaos replay seeds); a /16 block at
-  /// 10.0.16+.x beyond that (scale benches).
+  /// Address layout behind vip(): apps::vip_address for this cluster.
   [[nodiscard]] net::Ipv4Address vip_address(int index) const;
   /// How many of the given servers hold `ip` on an up interface.
   [[nodiscard]] int coverage_count(net::Ipv4Address ip,
@@ -208,8 +218,6 @@ class ClusterScenario {
   net::Fabric fabric;
 
  private:
-  [[nodiscard]] int shard_for_client(int i) const;
-
   ClusterOptions options_;
   std::unique_ptr<sim::ShardSet> shards_;
   net::SegmentId cluster_seg_;

@@ -12,39 +12,41 @@ std::pair<std::uint32_t, std::uint64_t> origin_key(const DataMessage& d) {
   return {d.sender.daemon.value(), d.origin_msg_id};
 }
 
-// Single source of truth for DaemonCounters field names.
-template <class CountersT, class Fn>
-void for_each_gcs_metric(CountersT&& c, Fn&& fn) {
-  fn("views_installed", c.views_installed);
-  fn("discoveries_started", c.discoveries_started);
-  fn("data_sequenced", c.data_sequenced);
-  fn("data_delivered", c.data_delivered);
-  fn("fifo_sent", c.fifo_sent);
-  fn("fifo_delivered", c.fifo_delivered);
-  fn("fifo_dropped_reconfig", c.fifo_dropped_reconfig);
-  fn("token_rotations", c.token_rotations);
-  fn("token_retries", c.token_retries);
-  fn("nacks_sent", c.nacks_sent);
-  fn("retransmissions", c.retransmissions);
-  fn("sync_messages_delivered", c.sync_messages_delivered);
-  fn("decode_errors", c.decode_errors);
-  fn("corruptions_detected", c.corruptions_detected);
-  fn("self_heals", c.self_heals);
-}
 }  // namespace
 
-void DaemonCounters::bind(obs::MetricRegistry& registry,
-                          const std::string& scope) {
-  for_each_gcs_metric(*this, [&](const char* name, obs::Counter& c) {
-    registry.bind(c, scope + "/" + name);
-  });
+template <class Fn>
+bool Daemon::RecvStream::accept(const DataMessage& msg, Fn&& deliver) {
+  if (msg.seq <= delivered) return false;  // duplicate
+  if (msg.seq > delivered + 1) {
+    buffer.emplace(msg.seq, msg);
+    return true;
+  }
+  delivered = msg.seq;
+  deliver(msg);
+  // Delivery may reenter (a local client answering synchronously), so
+  // re-read the buffer from its start.
+  auto it = buffer.begin();
+  while (it != buffer.end() && it->first <= delivered) it = buffer.erase(it);
+  while (it != buffer.end() && it->first == delivered + 1) {
+    delivered = it->first;
+    deliver(it->second);
+    it = buffer.erase(it);
+  }
+  return false;
 }
 
-void DaemonCounters::export_into(obs::MetricRegistry& registry,
-                                 const std::string& scope) const {
-  for_each_gcs_metric(*this, [&](const char* name, const obs::Counter& c) {
-    registry.counter(scope + "/" + name) = c.value();
-  });
+void Daemon::RecvStream::gaps(std::uint64_t hi,
+                              std::vector<std::uint64_t>& out) const {
+  for (std::uint64_t s = delivered + 1; s < hi && out.size() < 64; ++s) {
+    if (buffer.count(s) == 0) out.push_back(s);
+  }
+}
+
+std::vector<std::uint64_t> Daemon::RecvStream::missing() const {
+  std::uint64_t top = buffer.empty() ? 0 : buffer.rbegin()->first;
+  std::vector<std::uint64_t> out;
+  gaps(std::max(top, advertised + 1), out);
+  return out;
 }
 
 Daemon::Daemon(net::Host& host, Config config, sim::Log* log, int ifindex)
@@ -63,7 +65,7 @@ Daemon::~Daemon() {
 void Daemon::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
   obs_scope_ = std::move(scope);
-  counters_.bind(obs.registry, obs_scope_);
+  obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
 void Daemon::start() {
@@ -81,25 +83,11 @@ void Daemon::start() {
   // install a singleton view at epoch 0, then flood discovery.
   group_table_ = GroupTable{};
   pending_out_.clear();
-  store_.clear();
-  buffer_.clear();
   preinstall_.clear();
-  sequenced_.clear();
-  member_delivered_.clear();
-  fifo_out_seq_ = 0;
-  fifo_store_.clear();
-  fifo_delivered_.clear();
-  fifo_dispatched_.clear();
-  fifo_advertised_.clear();
-  fifo_dispatch_.clear();
-  fifo_buffer_.clear();
+  pv_ = PerView();
   accepts_.clear();
   accepted_proposal_.reset();
   coordinator_ = false;
-  next_seq_ = 1;
-  delivered_seq_ = 0;
-  stable_seq_ = 0;
-  advertised_seq_ = 0;
   view_ = View{ViewId{0, id_}, {id_}};
   state_ = State::kOp;
   auditor_.record(view_);
@@ -220,19 +208,19 @@ void Daemon::arm_fault_timer(DaemonId member) {
 
 void Daemon::heartbeat_tick() {
   if (!running_) return;
-  std::uint64_t stable = stable_seq_;
+  std::uint64_t stable = pv_.stable;
   if (state_ == State::kOp && is_sequencer() && !token_mode()) {
-    member_delivered_[id_] = delivered_seq_;
-    stable = delivered_seq_;
+    pv_.member_delivered[id_] = pv_.agreed.delivered;
+    stable = pv_.agreed.delivered;
     for (DaemonId m : view_.members) {
-      auto it = member_delivered_.find(m);
-      std::uint64_t d = it == member_delivered_.end() ? 0 : it->second;
+      auto it = pv_.member_delivered.find(m);
+      std::uint64_t d = it == pv_.member_delivered.end() ? 0 : it->second;
       stable = std::min(stable, d);
     }
     prune_stable(stable);
   }
-  Heartbeat hb{id_,   view_.id, state_ == State::kOp,
-               delivered_seq_, stable,  fifo_out_seq_};
+  Heartbeat hb{id_, view_.id, state_ == State::kOp, pv_.agreed.delivered,
+               stable, pv_.fifo_out_seq};
   broadcast(hb);
   if (state_ == State::kOp) reforward_pending();
   heartbeat_timer_ = host_.scheduler().schedule(config_.heartbeat_timeout,
@@ -253,8 +241,8 @@ void Daemon::on_heartbeat(const Heartbeat& hb) {
     return;
   }
   if (is_sequencer()) {
-    member_delivered_[hb.sender] = hb.delivered_seq;
-  } else if (hb.sender == sequencer() && hb.stable_seq > stable_seq_) {
+    pv_.member_delivered[hb.sender] = hb.delivered_seq;
+  } else if (hb.sender == sequencer() && hb.stable_seq > pv_.stable) {
     prune_stable(hb.stable_seq);
   }
   // Sequenced-stream tail recovery: a short connectivity glitch (below the
@@ -263,23 +251,21 @@ void Daemon::on_heartbeat(const Heartbeat& hb) {
   // gap to notice — we would diverge from the group silently and forever.
   // Peers advertise their delivered head in every heartbeat; falling behind
   // it is the missing gap signal.
-  if (hb.in_op && !is_sequencer()) {
-    advertised_seq_ = std::max(advertised_seq_, hb.delivered_seq);
-    if (advertised_seq_ > delivered_seq_) schedule_nack();
+  if (hb.in_op && !is_sequencer() && pv_.agreed.hear(hb.delivered_seq)) {
+    schedule_nack();
   }
   // FIFO/causal tail recovery: a dropped message with no successor leaves
   // no gap to detect, so the heartbeat advertises the origin's stream head
   // and we NACK up to it.
-  if (hb.in_op && hb.fifo_seq > 0) {
-    auto& advertised = fifo_advertised_[hb.sender];
-    advertised = std::max(advertised, hb.fifo_seq);
-    if (advertised > fifo_delivered_[hb.sender]) schedule_fifo_nack();
+  if (hb.in_op && hb.fifo_seq > 0 &&
+      pv_.origins[hb.sender].recv.hear(hb.fifo_seq)) {
+    schedule_fifo_nack();
   }
 }
 
 void Daemon::prune_stable(std::uint64_t stable) {
-  stable_seq_ = std::max(stable_seq_, stable);
-  store_.erase(store_.begin(), store_.upper_bound(stable_seq_));
+  pv_.stable = std::max(pv_.stable, stable);
+  pv_.store.erase(pv_.store.begin(), pv_.store.upper_bound(pv_.stable));
   drain_dispatch();  // stability may release withheld SAFE messages
 }
 
@@ -301,18 +287,20 @@ void Daemon::submit(DataMessage data) {
       return;
     }
     data.view = view_.id;
-    data.seq = ++fifo_out_seq_;
+    data.seq = ++pv_.fifo_out_seq;
     if (data.service == ServiceType::kCausal) {
       // Happened-before snapshot: the last stream position we dispatched
       // from every OTHER origin.
-      for (const auto& [origin, seq] : fifo_dispatched_) {
-        if (origin != id_ && seq > 0) {
-          data.vclock.emplace_back(origin.value(), seq);
+      for (const auto& [origin, o] : pv_.origins) {
+        if (origin != id_ && o.dispatched > 0) {
+          data.vclock.emplace_back(origin.value(), o.dispatched);
         }
       }
     }
-    fifo_store_.emplace(data.seq, data);
-    if (fifo_store_.size() > 1024) fifo_store_.erase(fifo_store_.begin());
+    pv_.fifo_store.emplace(data.seq, data);
+    if (pv_.fifo_store.size() > 1024) {
+      pv_.fifo_store.erase(pv_.fifo_store.begin());
+    }
     ++counters_.fifo_sent;
     broadcast(data);
     deliver_fifo(data);  // self-delivery
@@ -351,14 +339,14 @@ void Daemon::reforward_pending() {
 void Daemon::on_forward(DataMessage data) {
   if (state_ != State::kOp || !is_sequencer()) return;
   if (data.view != view_.id) return;  // raced a view change; origin re-sends
-  if (!sequenced_.insert(origin_key(data)).second) return;  // duplicate
+  if (!pv_.sequenced.insert(origin_key(data)).second) return;  // duplicate
   sequence_and_broadcast(std::move(data));
 }
 
 void Daemon::sequence_and_broadcast(DataMessage data) {
   data.view = view_.id;
-  data.seq = next_seq_++;
-  sequenced_.insert(origin_key(data));
+  data.seq = pv_.next_seq++;
+  pv_.sequenced.insert(origin_key(data));
   ++counters_.data_sequenced;
   broadcast(data);
   on_data(data);  // the fabric does not loop broadcasts back to the sender
@@ -379,31 +367,14 @@ void Daemon::on_data(const DataMessage& data) {
     }
     return;
   }
-  if (data.seq == delivered_seq_ + 1) {
-    deliver(data);
-    try_deliver_buffered();
-  } else if (data.seq > delivered_seq_ + 1) {
-    buffer_.emplace(data.seq, data);
+  if (pv_.agreed.accept(data, [this](const DataMessage& m) { deliver(m); })) {
     schedule_nack();
-  }
-  // else: duplicate of something already delivered; drop.
-}
-
-void Daemon::try_deliver_buffered() {
-  auto it = buffer_.begin();
-  while (it != buffer_.end() && it->first <= delivered_seq_) {
-    it = buffer_.erase(it);
-  }
-  while (it != buffer_.end() && it->first == delivered_seq_ + 1) {
-    deliver(it->second);
-    it = buffer_.erase(it);
   }
 }
 
 void Daemon::deliver(const DataMessage& data) {
-  WAM_ASSERT(data.seq == delivered_seq_ + 1);
-  delivered_seq_ = data.seq;
-  store_.emplace(data.seq, data);
+  WAM_ASSERT(data.seq == pv_.agreed.delivered);
+  pv_.store.emplace(data.seq, data);
   ++counters_.data_delivered;
 
   // Our own message came back: it is now ordered, stop re-forwarding it.
@@ -418,20 +389,20 @@ void Daemon::deliver(const DataMessage& data) {
 
   // Dispatch through a queue so that SAFE messages can hold the line (and
   // everything ordered after them) until stability reaches them.
-  dispatch_queue_.push_back(data);
+  pv_.dispatch_queue.push_back(data);
   drain_dispatch();
 }
 
 void Daemon::drain_dispatch(bool force) {
-  while (!dispatch_queue_.empty()) {
-    const auto& front = dispatch_queue_.front();
+  while (!pv_.dispatch_queue.empty()) {
+    const auto& front = pv_.dispatch_queue.front();
     if (!force && front.service == ServiceType::kSafe &&
-        front.seq > stable_seq_) {
+        front.seq > pv_.stable) {
       break;  // not yet known-received by everyone
     }
     // Copy out: dispatch may reenter deliver() via synchronous local sends.
     DataMessage msg = front;
-    dispatch_queue_.pop_front();
+    pv_.dispatch_queue.pop_front();
     dispatch(msg);
   }
 }
@@ -457,16 +428,7 @@ void Daemon::schedule_nack() {
 
 void Daemon::nack_tick() {
   if (state_ != State::kOp || is_sequencer()) return;
-  Nack nack{view_.id, id_, {}};
-  // Everything below the highest buffered seq is a classic gap; everything
-  // up to the heartbeat-advertised delivered head is potential tail loss
-  // (buffer_ may be empty then — the lost messages had no successor).
-  std::uint64_t hi = buffer_.empty() ? 0 : buffer_.rbegin()->first;
-  hi = std::max(hi, advertised_seq_ + 1);
-  for (std::uint64_t s = delivered_seq_ + 1; s < hi && nack.missing.size() < 64;
-       ++s) {
-    if (buffer_.count(s) == 0) nack.missing.push_back(s);
-  }
+  Nack nack{view_.id, id_, {}, pv_.agreed.missing()};
   if (!nack.missing.empty()) {
     ++counters_.nacks_sent;
     unicast(sequencer(), nack);
@@ -477,21 +439,15 @@ void Daemon::nack_tick() {
 
 void Daemon::on_nack(const Nack& nack) {
   if (state_ != State::kOp || nack.view != view_.id) return;
-  if (nack.fifo_origin == id_) {
-    // A receiver is missing part of OUR fifo stream.
-    for (std::uint64_t seq : nack.missing) {
-      auto it = fifo_store_.find(seq);
-      if (it != fifo_store_.end()) {
-        ++counters_.retransmissions;
-        unicast(nack.sender, it->second);
-      }
-    }
-    return;
-  }
-  if (!nack.fifo_origin.is_any() || !is_sequencer()) return;
+  // A receiver is missing part of OUR fifo stream, or (we sequence) of the
+  // agreed stream.
+  const auto* store = nack.fifo_origin == id_ ? &pv_.fifo_store
+                      : nack.fifo_origin.is_any() && is_sequencer() ? &pv_.store
+                                                                    : nullptr;
+  if (store == nullptr) return;
   for (std::uint64_t seq : nack.missing) {
-    auto it = store_.find(seq);
-    if (it != store_.end()) {
+    auto it = store->find(seq);
+    if (it != store->end()) {
       ++counters_.retransmissions;
       unicast(nack.sender, it->second);
     }
@@ -512,26 +468,14 @@ void Daemon::dispatch_to_clients(const DataMessage& data) {
 
 void Daemon::on_fifo_data(const DataMessage& data) {
   if (state_ != State::kOp || data.view != view_.id) return;  // stale
-  DaemonId origin = data.sender.daemon;
-  auto& delivered = fifo_delivered_[origin];
-  if (data.seq == delivered + 1) {
-    deliver_fifo(data);
-    auto& buffer = fifo_buffer_[origin];
-    auto it = buffer.begin();
-    while (it != buffer.end() && it->first == fifo_delivered_[origin] + 1) {
-      deliver_fifo(it->second);
-      it = buffer.erase(it);
-    }
-  } else if (data.seq > delivered + 1) {
-    fifo_buffer_[origin].emplace(data.seq, data);
+  auto& stream = pv_.origins[data.sender.daemon].recv;
+  if (stream.accept(data, [this](const DataMessage& m) { deliver_fifo(m); })) {
     schedule_fifo_nack();
   }
-  // else: duplicate, drop.
 }
 
 void Daemon::deliver_fifo(const DataMessage& data) {
-  fifo_delivered_[data.sender.daemon] = data.seq;
-  fifo_dispatch_[data.sender.daemon].push_back(data);
+  pv_.origins[data.sender.daemon].held.push_back(data);
   drain_origin_streams();
 }
 
@@ -539,8 +483,9 @@ bool Daemon::causally_ready(const DataMessage& data) const {
   for (const auto& [daemon_value, seq] : data.vclock) {
     DaemonId origin{daemon_value};
     if (origin == data.sender.daemon) continue;  // own-stream order covers it
-    auto it = fifo_dispatched_.find(origin);
-    std::uint64_t dispatched = it == fifo_dispatched_.end() ? 0 : it->second;
+    auto it = pv_.origins.find(origin);
+    std::uint64_t dispatched =
+        it == pv_.origins.end() ? 0 : it->second.dispatched;
     if (dispatched < seq) return false;
   }
   return true;
@@ -553,15 +498,15 @@ void Daemon::drain_origin_streams() {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto& [origin, queue] : fifo_dispatch_) {
-      while (!queue.empty()) {
-        const auto& head = queue.front();
+    for (auto& [origin, o] : pv_.origins) {
+      while (!o.held.empty()) {
+        const auto& head = o.held.front();
         if (head.service == ServiceType::kCausal && !causally_ready(head)) {
           break;
         }
         DataMessage msg = head;
-        queue.pop_front();
-        fifo_dispatched_[origin] = msg.seq;
+        o.held.pop_front();
+        o.dispatched = msg.seq;
         ++counters_.fifo_delivered;
         // These services carry application payloads only; group control is
         // always agreed.
@@ -581,20 +526,9 @@ void Daemon::schedule_fifo_nack() {
 void Daemon::fifo_nack_tick() {
   if (state_ != State::kOp) return;
   bool gaps_remain = false;
-  std::set<DaemonId> origins;
-  for (const auto& [origin, buffer] : fifo_buffer_) origins.insert(origin);
-  for (const auto& [origin, head] : fifo_advertised_) origins.insert(origin);
-  for (DaemonId origin : origins) {
+  for (const auto& [origin, o] : pv_.origins) {
     if (origin == id_) continue;
-    Nack nack{view_.id, id_, origin, {}};
-    const auto& buffer = fifo_buffer_[origin];
-    std::uint64_t hi = buffer.empty() ? 0 : buffer.rbegin()->first;
-    auto adv = fifo_advertised_.find(origin);
-    if (adv != fifo_advertised_.end()) hi = std::max(hi, adv->second + 1);
-    for (std::uint64_t s = fifo_delivered_[origin] + 1;
-         s < hi && nack.missing.size() < 64; ++s) {
-      if (buffer.count(s) == 0) nack.missing.push_back(s);
-    }
+    Nack nack{view_.id, id_, origin, o.recv.missing()};
     if (!nack.missing.empty()) {
       gaps_remain = true;
       ++counters_.nacks_sent;
@@ -618,8 +552,8 @@ DaemonId Daemon::ring_successor() const {
 
 void Daemon::on_token(Token token) {
   if (!token_mode() || state_ != State::kOp || token.view != view_.id) return;
-  if (token.rotation <= last_rotation_seen_) return;  // duplicate/stale copy
-  last_rotation_seen_ = token.rotation;
+  if (token.rotation <= pv_.last_rotation_seen) return;  // duplicate/stale
+  pv_.last_rotation_seen = token.rotation;
   token_retry_timer_.cancel();  // the ring made progress past our last send
   ++counters_.token_rotations;
 
@@ -627,8 +561,12 @@ void Daemon::on_token(Token token) {
   std::vector<std::uint64_t> still_missing;
   for (auto seq : token.rtr) {
     const DataMessage* have = nullptr;
-    if (auto it = store_.find(seq); it != store_.end()) have = &it->second;
-    if (auto it = buffer_.find(seq); it != buffer_.end()) have = &it->second;
+    if (auto it = pv_.store.find(seq); it != pv_.store.end()) {
+      have = &it->second;
+    }
+    if (auto it = pv_.agreed.buffer.find(seq); it != pv_.agreed.buffer.end()) {
+      have = &it->second;
+    }
     if (have) {
       ++counters_.retransmissions;
       broadcast(*have);
@@ -660,25 +598,22 @@ void Daemon::on_token(Token token) {
   }
 
   // 3. Ask for our own gaps.
-  for (std::uint64_t s = delivered_seq_ + 1; s <= token.seq; ++s) {
-    if (buffer_.count(s) == 0 && token.rtr.size() < 64) {
-      token.rtr.push_back(s);
-    }
-  }
+  pv_.agreed.gaps(token.seq + 1, token.rtr);
 
   // 4. Totem aru rule: lower it to our all-received-up-to if we are
   //    behind; raise it only if we set it last.
-  if (delivered_seq_ < token.aru) {
-    token.aru = delivered_seq_;
+  const std::uint64_t delivered = pv_.agreed.delivered;
+  if (delivered < token.aru) {
+    token.aru = delivered;
     token.aru_setter = id_;
   } else if (token.aru_setter == id_) {
-    token.aru = delivered_seq_;
+    token.aru = delivered;
   }
 
   // 5. Stability: everything at or below the aru of the PREVIOUS rotation
   //    has been received by all members for a full rotation.
-  auto stable = std::min(prev_token_aru_, token.aru);
-  prev_token_aru_ = token.aru;
+  auto stable = std::min(pv_.prev_token_aru, token.aru);
+  pv_.prev_token_aru = token.aru;
   prune_stable(stable);
 
   // 6. Pass it on after the hold time (paces the rotation).
@@ -691,7 +626,7 @@ void Daemon::on_token(Token token) {
 
 void Daemon::pass_token(Token token) {
   if (!token_mode() || state_ != State::kOp || token.view != view_.id) return;
-  last_sent_token_ = token;
+  pv_.last_sent_token = token;
   auto successor = ring_successor();
   if (successor == id_) {
     // Singleton ring: loop the token to ourselves through the scheduler.
@@ -708,12 +643,13 @@ void Daemon::pass_token(Token token) {
 }
 
 void Daemon::token_retry_tick() {
-  if (!token_mode() || state_ != State::kOp || !last_sent_token_) return;
-  if (last_sent_token_->view != view_.id) return;
+  const auto& last = pv_.last_sent_token;
+  if (!token_mode() || state_ != State::kOp || !last) return;
+  if (last->view != view_.id) return;
   // No token has come back since we sent ours: assume the unicast was lost
   // and resend the same copy (receivers dedup on the rotation counter).
   ++counters_.token_retries;
-  unicast(ring_successor(), *last_sent_token_);
+  unicast(ring_successor(), *last);
   token_retry_timer_ = host_.scheduler().schedule(
       config_.token_retry, [this] { token_retry_tick(); });
 }
@@ -838,8 +774,8 @@ Accept Daemon::make_own_accept(const ViewId& proposal) const {
   a.view = proposal;
   a.sender = id_;
   a.old_view = view_.id;
-  a.retained.reserve(store_.size());
-  for (const auto& [seq, msg] : store_) a.retained.push_back(msg);
+  a.retained.reserve(pv_.store.size());
+  for (const auto& [seq, msg] : pv_.store) a.retained.push_back(msg);
   a.groups = group_table_.entries();
   a.group_seqs = group_table_.seqs();
   return a;
@@ -990,10 +926,12 @@ void Daemon::install_view(const Install& inst) {
   // Virtual-Synchrony exchange: deliver the sync messages belonging to OUR
   // previous view that we have not delivered yet, in order and without
   // gaps. All daemons transitioning from that view compute the same cut.
+  auto& agreed = pv_.agreed;
   for (const auto& msg : inst.sync) {
     if (msg.view != view_.id) continue;
-    if (msg.seq <= delivered_seq_) continue;
-    if (msg.seq != delivered_seq_ + 1) break;  // gap: discard the tail
+    if (msg.seq <= agreed.delivered) continue;
+    if (msg.seq != agreed.delivered + 1) break;  // gap: discard the tail
+    agreed.delivered = msg.seq;
     deliver(msg);
     ++counters_.sync_messages_delivered;
   }
@@ -1005,26 +943,8 @@ void Daemon::install_view(const Install& inst) {
   state_ = State::kOp;
   auditor_.record(view_);
   discovery_epoch_ = std::max(discovery_epoch_, view_.id.epoch);
-  next_seq_ = 1;
-  delivered_seq_ = 0;
-  stable_seq_ = 0;
-  advertised_seq_ = 0;
-  store_.clear();
-  buffer_.clear();
-  dispatch_queue_.clear();
-  sequenced_.clear();
-  member_delivered_.clear();
-  fifo_out_seq_ = 0;
-  fifo_store_.clear();
-  fifo_delivered_.clear();
-  fifo_dispatched_.clear();
-  fifo_advertised_.clear();
-  fifo_dispatch_.clear();
-  fifo_buffer_.clear();
+  pv_ = PerView();
   fifo_nack_timer_.cancel();
-  last_rotation_seen_ = 0;
-  prev_token_aru_ = 0;
-  last_sent_token_.reset();
   token_pass_timer_.cancel();
   token_retry_timer_.cancel();
   coordinator_ = false;
@@ -1105,7 +1025,7 @@ void Daemon::install_view(const Install& inst) {
     on_token(std::move(token));
   }
   // Kick stability/liveness gossip without waiting a full heartbeat.
-  Heartbeat hb{id_, view_.id, true, delivered_seq_, stable_seq_};
+  Heartbeat hb{id_, view_.id, true, pv_.agreed.delivered, pv_.stable};
   broadcast(hb);
 }
 

@@ -39,6 +39,7 @@
 //     ordered by (rank of hosting daemon in the view, client id).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -86,9 +87,25 @@ struct DaemonCounters {
   obs::Counter corruptions_detected;
   obs::Counter self_heals;
 
-  void bind(obs::MetricRegistry& registry, const std::string& scope);
-  void export_into(obs::MetricRegistry& registry,
-                   const std::string& scope) const;
+  /// Enumerate (name, field) pairs: the metric names under "gcs/<scope>".
+  template <class Self, class Fn>
+  static void for_each(Self& self, Fn&& fn) {
+    fn("views_installed", self.views_installed);
+    fn("discoveries_started", self.discoveries_started);
+    fn("data_sequenced", self.data_sequenced);
+    fn("data_delivered", self.data_delivered);
+    fn("fifo_sent", self.fifo_sent);
+    fn("fifo_delivered", self.fifo_delivered);
+    fn("fifo_dropped_reconfig", self.fifo_dropped_reconfig);
+    fn("token_rotations", self.token_rotations);
+    fn("token_retries", self.token_retries);
+    fn("nacks_sent", self.nacks_sent);
+    fn("retransmissions", self.retransmissions);
+    fn("sync_messages_delivered", self.sync_messages_delivered);
+    fn("decode_errors", self.decode_errors);
+    fn("corruptions_detected", self.corruptions_detected);
+    fn("self_heals", self.self_heals);
+  }
 };
 
 class Daemon {
@@ -166,7 +183,6 @@ class Daemon {
   void on_forward(DataMessage data);
   void sequence_and_broadcast(DataMessage data);
   void on_data(const DataMessage& data);
-  void try_deliver_buffered();
   void deliver(const DataMessage& data);
   void schedule_nack();
   void nack_tick();
@@ -235,36 +251,61 @@ class Daemon {
   State state_ = State::kOp;
   View view_;
 
-  // Total order state (per installed view).
-  std::uint64_t next_seq_ = 1;          // sequencer: next seq to assign
-  std::uint64_t delivered_seq_ = 0;     // highest contiguously delivered
-  std::uint64_t stable_seq_ = 0;        // GC watermark
-  std::uint64_t advertised_seq_ = 0;    // heard delivered head (heartbeats)
-  std::map<std::uint64_t, DataMessage> store_;   // delivered, > stable
-  std::map<std::uint64_t, DataMessage> buffer_;  // received out of order
-  std::deque<DataMessage> dispatch_queue_;       // delivered, not dispatched
-                                                 // (SAFE holds the line)
-  std::set<std::pair<std::uint32_t, std::uint64_t>> sequenced_;  // dedup
-  std::map<DaemonId, std::uint64_t> member_delivered_;
+  /// One in-order receive stream from one source: the sequencer's agreed
+  /// stream, or one origin's FIFO/causal stream.
+  struct RecvStream {
+    std::uint64_t delivered = 0;   // highest contiguously delivered
+    std::uint64_t advertised = 0;  // heard head of the stream (heartbeats)
+    std::map<std::uint64_t, DataMessage> buffer;  // received out of order
+
+    /// Deliver `msg` and everything it unblocks, in order, through
+    /// `deliver`; buffer it if it is early. True when it was buffered.
+    template <class Fn>
+    bool accept(const DataMessage& msg, Fn&& deliver);
+    /// Append the seqs missing below `hi` to `out`, up to 64 in all.
+    void gaps(std::uint64_t hi, std::vector<std::uint64_t>& out) const;
+    /// What a NACK asks for: the gaps below max(top of buffer, advertised
+    /// head + 1). The head covers a lost tail with no successor.
+    [[nodiscard]] std::vector<std::uint64_t> missing() const;
+    /// Note a heard stream head; true when we are behind it.
+    bool hear(std::uint64_t head) {
+      advertised = std::max(advertised, head);
+      return advertised > delivered;
+    }
+  };
+
+  /// A FIFO/causal origin: its stream, and the messages delivered from it
+  /// but held until their causal dependencies are dispatched.
+  struct Origin {
+    RecvStream recv;
+    std::uint64_t dispatched = 0;  // last seq handed to clients
+    std::deque<DataMessage> held;
+  };
+
+  /// Everything that lives for one installed view. install_view() and
+  /// start() reset it as one value.
+  struct PerView {
+    // Total order.
+    std::uint64_t next_seq = 1;  // sequencer: next seq to assign
+    RecvStream agreed;
+    std::uint64_t stable = 0;                      // GC watermark
+    std::map<std::uint64_t, DataMessage> store;    // delivered, > stable
+    std::deque<DataMessage> dispatch_queue;  // delivered, not dispatched
+                                             // (SAFE holds the line)
+    std::set<std::pair<std::uint32_t, std::uint64_t>> sequenced;  // dedup
+    std::map<DaemonId, std::uint64_t> member_delivered;
+    // FIFO/causal: both services share the per-origin streams.
+    std::uint64_t fifo_out_seq = 0;                   // our stream
+    std::map<std::uint64_t, DataMessage> fifo_store;  // sent, for rexmit
+    std::map<DaemonId, Origin> origins;
+    // Token ring.
+    std::uint64_t last_rotation_seen = 0;
+    std::uint64_t prev_token_aru = 0;
+    std::optional<Token> last_sent_token;
+  };
+  PerView pv_;
   std::map<ViewId, std::vector<DataMessage>> preinstall_;  // future-view data
-
-  // FIFO/causal service state (per installed view). Both services share
-  // the per-origin streams; causal messages additionally hold their
-  // origin's dispatch queue until their vector-clock dependencies on other
-  // origins' streams are satisfied.
-  std::uint64_t fifo_out_seq_ = 0;                       // our stream
-  std::map<std::uint64_t, DataMessage> fifo_store_;      // sent, for rexmit
-  std::map<DaemonId, std::uint64_t> fifo_delivered_;     // reception (contig)
-  std::map<DaemonId, std::uint64_t> fifo_dispatched_;    // handed to clients
-  std::map<DaemonId, std::uint64_t> fifo_advertised_;    // heard stream heads
-  std::map<DaemonId, std::map<std::uint64_t, DataMessage>> fifo_buffer_;
-  std::map<DaemonId, std::deque<DataMessage>> fifo_dispatch_;  // held streams
   sim::TimerHandle fifo_nack_timer_;
-
-  // Token-ring state (per installed view).
-  std::uint64_t last_rotation_seen_ = 0;
-  std::uint64_t prev_token_aru_ = 0;
-  std::optional<Token> last_sent_token_;
   sim::TimerHandle token_pass_timer_;
   sim::TimerHandle token_retry_timer_;
 

@@ -1,319 +1,221 @@
 #include "gcs/message.hpp"
 
-#include "util/assert.hpp"
+#include <array>
+#include <concepts>
+#include <type_traits>
 
 namespace wam::gcs {
 
 namespace {
 
-void put_view_id(util::ByteWriter& w, const ViewId& v) {
-  w.u64(v.epoch);
-  w.u32(v.coordinator.value());
+// The wire layout. Each type lists its fields once, in wire order; encode()
+// runs the list through Writer and decode() through Reader, so the two
+// directions cannot drift apart. Scalars are big-endian, strings and byte
+// strings u32-length-prefixed, vectors a u32 count then the elements.
+
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+template <class IO, Is<ViewId> M>
+void fields(IO& io, M& m) {
+  io(m.epoch, m.coordinator);
+}
+template <class IO, Is<View> M>
+void fields(IO& io, M& m) {
+  io(m.id, m.members);
+}
+template <class IO, Is<MemberId> M>
+void fields(IO& io, M& m) {
+  io(m.daemon, m.client, m.name);
+}
+template <class IO, Is<GroupEntry> M>
+void fields(IO& io, M& m) {
+  io(m.group, m.member);
+}
+template <class IO, Is<DataMessage> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.seq, m.sender, m.origin_msg_id, m.service, m.kind, m.group,
+     m.payload, m.vclock);
+}
+template <class IO, Is<Heartbeat> M>
+void fields(IO& io, M& m) {
+  io(m.sender, m.view, m.in_op, m.delivered_seq, m.stable_seq, m.fifo_seq);
+}
+template <class IO, Is<Discovery> M>
+void fields(IO& io, M& m) {
+  io(m.sender, m.epoch, m.known);
+}
+template <class IO, Is<Propose> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.members);
+}
+template <class IO, Is<Accept> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.sender, m.old_view, m.retained, m.groups, m.group_seqs);
+}
+template <class IO, Is<Install> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.sync, m.groups, m.group_seqs);
+}
+template <class IO, Is<Forward> M>
+void fields(IO& io, M& m) {
+  io(m.data);
+}
+template <class IO, Is<Nack> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.sender, m.fifo_origin, m.missing);
+}
+template <class IO, Is<Token> M>
+void fields(IO& io, M& m) {
+  io(m.view, m.rotation, m.seq, m.aru, m.aru_setter, m.rtr);
 }
 
-ViewId get_view_id(util::ByteReader& r) {
-  ViewId v;
-  v.epoch = r.u64();
-  v.coordinator = DaemonId(r.u32());
-  return v;
+struct Writer {
+  util::ByteWriter& w;
+
+  template <class... Ts>
+  void operator()(const Ts&... fs) {
+    (put(fs), ...);
+  }
+  void put(bool v) { w.boolean(v); }
+  void put(std::uint32_t v) { w.u32(v); }
+  void put(std::uint64_t v) { w.u64(v); }
+  void put(DaemonId v) { w.u32(v.value()); }
+  void put(ServiceType v) { w.u8(static_cast<std::uint8_t>(v)); }
+  void put(DataKind v) { w.u8(static_cast<std::uint8_t>(v)); }
+  void put(const std::string& v) { w.str(v); }
+  void put(const util::SharedBytes& v) { w.bytes(v); }
+  template <class A, class B>
+  void put(const std::pair<A, B>& v) {
+    put(v.first);
+    put(v.second);
+  }
+  template <class T>
+  void put(const std::vector<T>& v) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& e : v) put(e);
+  }
+  template <class T>
+  void put(const T& m) {
+    fields(*this, m);
+  }
+};
+
+/// Bytes the smallest encoding of a T takes: every string and vector in
+/// it empty. A wire count larger than the remaining bytes allow at this
+/// size is malformed.
+template <class T>
+std::size_t min_wire_size() {
+  static const std::size_t size = [] {
+    util::ByteWriter w;
+    Writer{w}.put(T{});
+    return w.size();
+  }();
+  return size;
 }
 
-void put_member(util::ByteWriter& w, const MemberId& m) {
-  w.u32(m.daemon.value());
-  w.u32(m.client);
-  w.str(m.name);
-}
+struct Reader {
+  util::ByteReader& r;
 
-MemberId get_member(util::ByteReader& r) {
-  MemberId m;
-  m.daemon = DaemonId(r.u32());
-  m.client = r.u32();
-  m.name = r.str();
+  template <class... Ts>
+  void operator()(Ts&... fs) {
+    (get(fs), ...);
+  }
+  void get(bool& v) { v = r.boolean(); }
+  void get(std::uint32_t& v) { v = r.u32(); }
+  void get(std::uint64_t& v) { v = r.u64(); }
+  void get(DaemonId& v) { v = DaemonId(r.u32()); }
+  void get(ServiceType& v) {
+    v = static_cast<ServiceType>(bounded(3, "bad ServiceType"));
+  }
+  void get(DataKind& v) {
+    v = static_cast<DataKind>(bounded(2, "bad DataKind"));
+  }
+  void get(std::string& v) { v = r.str(); }
+  // A zero-copy slice of the wire buffer.
+  void get(util::SharedBytes& v) { v = r.shared_bytes(); }
+  template <class A, class B>
+  void get(std::pair<A, B>& v) {
+    get(v.first);
+    get(v.second);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    auto n = r.u32();
+    if (n > r.remaining() / min_wire_size<T>()) {
+      throw util::DecodeError("implausible element count " +
+                              std::to_string(n));
+    }
+    v.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) get(v.emplace_back());
+  }
+  template <class T>
+  void get(T& m) {
+    fields(*this, m);
+  }
+
+  std::uint8_t bounded(std::uint8_t max, const char* what) {
+    auto b = r.u8();
+    if (b > max) throw util::DecodeError(what);
+    return b;
+  }
+};
+
+// The type byte is the Message alternative's index plus one.
+template <MsgType T, class M>
+constexpr bool kNumbered = std::is_same_v<
+    std::variant_alternative_t<static_cast<std::size_t>(T) - 1, Message>, M>;
+static_assert(kNumbered<MsgType::kHeartbeat, Heartbeat> &&
+              kNumbered<MsgType::kDiscovery, Discovery> &&
+              kNumbered<MsgType::kPropose, Propose> &&
+              kNumbered<MsgType::kAccept, Accept> &&
+              kNumbered<MsgType::kInstall, Install> &&
+              kNumbered<MsgType::kForward, Forward> &&
+              kNumbered<MsgType::kData, DataMessage> &&
+              kNumbered<MsgType::kNack, Nack> &&
+              kNumbered<MsgType::kToken, Token> &&
+              std::variant_size_v<Message> == 9);
+
+template <class M>
+Message read_as(util::ByteReader& r) {
+  M m;
+  Reader{r}.get(m);
+  r.expect_end();
   return m;
 }
 
-void put_daemons(util::ByteWriter& w, const std::vector<DaemonId>& ds) {
-  w.u32(static_cast<std::uint32_t>(ds.size()));
-  for (auto d : ds) w.u32(d.value());
+template <std::size_t... I>
+constexpr auto make_readers(std::index_sequence<I...>) {
+  return std::array<Message (*)(util::ByteReader&), sizeof...(I)>{
+      &read_as<std::variant_alternative_t<I, Message>>...};
 }
-
-std::vector<DaemonId> get_daemons(util::ByteReader& r) {
-  auto n = r.u32();
-  std::vector<DaemonId> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.emplace_back(r.u32());
-  return out;
-}
-
-void put_data(util::ByteWriter& w, const DataMessage& d) {
-  put_view_id(w, d.view);
-  w.u64(d.seq);
-  put_member(w, d.sender);
-  w.u64(d.origin_msg_id);
-  w.u8(static_cast<std::uint8_t>(d.service));
-  w.u8(static_cast<std::uint8_t>(d.kind));
-  w.str(d.group);
-  w.bytes(d.payload);
-  w.u32(static_cast<std::uint32_t>(d.vclock.size()));
-  for (const auto& [daemon, seq] : d.vclock) {
-    w.u32(daemon);
-    w.u64(seq);
-  }
-}
-
-DataMessage get_data(util::ByteReader& r) {
-  DataMessage d;
-  d.view = get_view_id(r);
-  d.seq = r.u64();
-  d.sender = get_member(r);
-  d.origin_msg_id = r.u64();
-  auto service = r.u8();
-  if (service > 3) throw util::DecodeError("bad ServiceType");
-  d.service = static_cast<ServiceType>(service);
-  auto kind = r.u8();
-  if (kind > 2) throw util::DecodeError("bad DataKind");
-  d.kind = static_cast<DataKind>(kind);
-  d.group = r.str();
-  d.payload = r.shared_bytes();  // zero-copy slice of the wire buffer
-  auto nclock = r.u32();
-  d.vclock.reserve(nclock);
-  for (std::uint32_t i = 0; i < nclock; ++i) {
-    auto daemon = r.u32();
-    auto seq = r.u64();
-    d.vclock.emplace_back(daemon, seq);
-  }
-  return d;
-}
-
-void put_data_vec(util::ByteWriter& w, const std::vector<DataMessage>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (const auto& d : v) put_data(w, d);
-}
-
-std::vector<DataMessage> get_data_vec(util::ByteReader& r) {
-  auto n = r.u32();
-  std::vector<DataMessage> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) out.push_back(get_data(r));
-  return out;
-}
-
-void put_groups(util::ByteWriter& w, const std::vector<GroupEntry>& gs) {
-  w.u32(static_cast<std::uint32_t>(gs.size()));
-  for (const auto& g : gs) {
-    w.str(g.group);
-    put_member(w, g.member);
-  }
-}
-
-std::vector<GroupEntry> get_groups(util::ByteReader& r) {
-  auto n = r.u32();
-  std::vector<GroupEntry> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    GroupEntry g;
-    g.group = r.str();
-    g.member = get_member(r);
-    out.push_back(std::move(g));
-  }
-  return out;
-}
-
-void put_group_seqs(
-    util::ByteWriter& w,
-    const std::vector<std::pair<std::string, std::uint64_t>>& gs) {
-  w.u32(static_cast<std::uint32_t>(gs.size()));
-  for (const auto& [name, seq] : gs) {
-    w.str(name);
-    w.u64(seq);
-  }
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> get_group_seqs(
-    util::ByteReader& r) {
-  auto n = r.u32();
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto name = r.str();
-    auto seq = r.u64();
-    out.emplace_back(std::move(name), seq);
-  }
-  return out;
-}
+constexpr auto kReaders =
+    make_readers(std::make_index_sequence<std::variant_size_v<Message>>{});
 
 }  // namespace
 
 util::Bytes encode(const Message& msg) {
   util::ByteWriter w;
-  std::visit(
-      [&w](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Heartbeat>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kHeartbeat));
-          w.u32(m.sender.value());
-          put_view_id(w, m.view);
-          w.boolean(m.in_op);
-          w.u64(m.delivered_seq);
-          w.u64(m.stable_seq);
-          w.u64(m.fifo_seq);
-        } else if constexpr (std::is_same_v<T, Discovery>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kDiscovery));
-          w.u32(m.sender.value());
-          w.u64(m.epoch);
-          put_daemons(w, m.known);
-        } else if constexpr (std::is_same_v<T, Propose>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kPropose));
-          put_view_id(w, m.view);
-          put_daemons(w, m.members);
-        } else if constexpr (std::is_same_v<T, Accept>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kAccept));
-          put_view_id(w, m.view);
-          w.u32(m.sender.value());
-          put_view_id(w, m.old_view);
-          put_data_vec(w, m.retained);
-          put_groups(w, m.groups);
-          put_group_seqs(w, m.group_seqs);
-        } else if constexpr (std::is_same_v<T, Install>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kInstall));
-          put_view_id(w, m.view.id);
-          put_daemons(w, m.view.members);
-          put_data_vec(w, m.sync);
-          put_groups(w, m.groups);
-          put_group_seqs(w, m.group_seqs);
-        } else if constexpr (std::is_same_v<T, Forward>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kForward));
-          put_data(w, m.data);
-        } else if constexpr (std::is_same_v<T, DataMessage>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kData));
-          put_data(w, m);
-        } else if constexpr (std::is_same_v<T, Nack>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kNack));
-          put_view_id(w, m.view);
-          w.u32(m.sender.value());
-          w.u32(m.fifo_origin.value());
-          w.u32(static_cast<std::uint32_t>(m.missing.size()));
-          for (auto s : m.missing) w.u64(s);
-        } else if constexpr (std::is_same_v<T, Token>) {
-          w.u8(static_cast<std::uint8_t>(MsgType::kToken));
-          put_view_id(w, m.view);
-          w.u64(m.rotation);
-          w.u64(m.seq);
-          w.u64(m.aru);
-          w.u32(m.aru_setter.value());
-          w.u32(static_cast<std::uint32_t>(m.rtr.size()));
-          for (auto s : m.rtr) w.u64(s);
-        }
-      },
-      msg);
+  w.u8(static_cast<std::uint8_t>(msg.index() + 1));
+  std::visit([&w](const auto& m) { Writer{w}.put(m); }, msg);
   return w.take();
 }
 
 Message decode(const util::SharedBytes& buf) {
   util::ByteReader r(buf);
   auto type = r.u8();
-  switch (static_cast<MsgType>(type)) {
-    case MsgType::kHeartbeat: {
-      Heartbeat m;
-      m.sender = DaemonId(r.u32());
-      m.view = get_view_id(r);
-      m.in_op = r.boolean();
-      m.delivered_seq = r.u64();
-      m.stable_seq = r.u64();
-      m.fifo_seq = r.u64();
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kDiscovery: {
-      Discovery m;
-      m.sender = DaemonId(r.u32());
-      m.epoch = r.u64();
-      m.known = get_daemons(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kPropose: {
-      Propose m;
-      m.view = get_view_id(r);
-      m.members = get_daemons(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kAccept: {
-      Accept m;
-      m.view = get_view_id(r);
-      m.sender = DaemonId(r.u32());
-      m.old_view = get_view_id(r);
-      m.retained = get_data_vec(r);
-      m.groups = get_groups(r);
-      m.group_seqs = get_group_seqs(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kInstall: {
-      Install m;
-      m.view.id = get_view_id(r);
-      m.view.members = get_daemons(r);
-      m.sync = get_data_vec(r);
-      m.groups = get_groups(r);
-      m.group_seqs = get_group_seqs(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kForward: {
-      Forward m;
-      m.data = get_data(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kData: {
-      auto m = get_data(r);
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kNack: {
-      Nack m;
-      m.view = get_view_id(r);
-      m.sender = DaemonId(r.u32());
-      m.fifo_origin = DaemonId(r.u32());
-      auto n = r.u32();
-      m.missing.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) m.missing.push_back(r.u64());
-      r.expect_end();
-      return m;
-    }
-    case MsgType::kToken: {
-      Token m;
-      m.view = get_view_id(r);
-      m.rotation = r.u64();
-      m.seq = r.u64();
-      m.aru = r.u64();
-      m.aru_setter = DaemonId(r.u32());
-      auto n = r.u32();
-      m.rtr.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) m.rtr.push_back(r.u64());
-      r.expect_end();
-      return m;
-    }
+  if (type == 0 || type > kReaders.size()) {
+    throw util::DecodeError("unknown GCS message type " +
+                            std::to_string(type));
   }
-  throw util::DecodeError("unknown GCS message type " + std::to_string(type));
+  return kReaders[type - 1](r);
 }
 
 const char* msg_type_name(const Message& msg) {
-  return std::visit(
-      [](const auto& m) -> const char* {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Heartbeat>) return "HEARTBEAT";
-        else if constexpr (std::is_same_v<T, Discovery>) return "DISCOVERY";
-        else if constexpr (std::is_same_v<T, Propose>) return "PROPOSE";
-        else if constexpr (std::is_same_v<T, Accept>) return "ACCEPT";
-        else if constexpr (std::is_same_v<T, Install>) return "INSTALL";
-        else if constexpr (std::is_same_v<T, Forward>) return "FORWARD";
-        else if constexpr (std::is_same_v<T, DataMessage>) return "DATA";
-        else if constexpr (std::is_same_v<T, Nack>) return "NACK";
-        else if constexpr (std::is_same_v<T, Token>) return "TOKEN";
-      },
-      msg);
+  static constexpr std::array<const char*, 9> kNames = {
+      "HEARTBEAT", "DISCOVERY", "PROPOSE", "ACCEPT", "INSTALL",
+      "FORWARD",   "DATA",      "NACK",    "TOKEN"};
+  return kNames[msg.index()];
 }
 
 }  // namespace wam::gcs

@@ -6,6 +6,11 @@
 // membership change each daemon ships its unstable messages (tagged with
 // the view that sequenced them) to the coordinator, whose INSTALL carries
 // the per-old-view union back out.
+//
+// The wire layout is the `fields()` list of each type in message.cpp: the
+// type byte (MsgType), then the fields in list order. encode() and
+// decode() both run that one list, and decode() rejects a vector count the
+// remaining bytes cannot hold.
 #pragma once
 
 #include <cstdint>

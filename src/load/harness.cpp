@@ -17,21 +17,12 @@ namespace wam::load {
 
 namespace {
 
-/// Same VIP layout as ClusterScenario::vip_address so all four protocols
-/// serve identical addresses: 10.0.0.(100+k) up to 100 VIPs, a /16 block
-/// at 10.0.16+.x beyond that.
-net::Ipv4Address vip_address(int index, int num_vips) {
-  if (num_vips <= 100) {
-    return net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(100 + index));
-  }
-  return net::Ipv4Address(10, 0, static_cast<std::uint8_t>(16 + index / 256),
-                          static_cast<std::uint8_t>(index % 256));
-}
-
 std::vector<net::Ipv4Address> vip_list(int num_vips) {
   std::vector<net::Ipv4Address> vips;
   vips.reserve(static_cast<std::size_t>(num_vips));
-  for (int k = 0; k < num_vips; ++k) vips.push_back(vip_address(k, num_vips));
+  for (int k = 0; k < num_vips; ++k) {
+    vips.push_back(apps::vip_address(k, num_vips));
+  }
   return vips;
 }
 
@@ -169,17 +160,13 @@ struct BaselineLan {
       hosts.push_back(std::move(host));
     }
     for (int i = 0; i < t.clients; ++i) {
-      const int shard = shards ? 1 + (i % (shards->size() - 1)) : 0;
+      const int shard = apps::client_shard(i, t.shards);
       sim::Scheduler& csched = shards ? shards->shard(shard) : sched;
       auto client = std::make_unique<net::Host>(
           csched, fabric,
           i == 0 ? "client" : "client" + std::to_string(i + 1),
           shard == 0 ? &log : nullptr);
-      const auto last = static_cast<std::uint8_t>(253 - i);
-      client->add_interface(seg,
-                            wide ? net::Ipv4Address(10, 0, 255, last)
-                                 : net::Ipv4Address(10, 0, 0, last),
-                            prefix);
+      client->add_interface(seg, apps::lan_client_address(i, wide), prefix);
       if (shards) fabric.assign_shard(client->nic_id(0), shard);
       clients.push_back(std::move(client));
     }

@@ -10,39 +10,6 @@ namespace wam::net {
 
 namespace {
 
-// Single source of truth for the fabric metric names: bind() and
-// export_into() both enumerate through here, so the registry view can
-// never drift from the struct.
-template <typename Counters, typename Fn>
-void for_each_fabric_metric(Counters& c, Fn&& fn) {
-  fn("frames_sent", c.frames_sent);
-  fn("frames_delivered", c.frames_delivered);
-  fn("dropped_no_target", c.dropped_no_target);
-  fn("dropped_partition", c.dropped_partition);
-  fn("dropped_nic_down", c.dropped_nic_down);
-  fn("dropped_random", c.dropped_random);
-  fn("dropped_directional", c.dropped_directional);
-}
-
-}  // namespace
-
-void FabricCounters::bind(obs::MetricRegistry& registry,
-                          const std::string& scope) {
-  for_each_fabric_metric(*this, [&](const char* name, obs::Counter& c) {
-    registry.bind(c, scope + "/" + name);
-  });
-}
-
-void FabricCounters::export_into(obs::MetricRegistry& registry,
-                                 const std::string& scope) const {
-  for_each_fabric_metric(*this,
-                         [&](const char* name, const obs::Counter& c) {
-                           registry.counter(scope + "/" + name) = c.value();
-                         });
-}
-
-namespace {
-
 /// FNV-1a over the frame's addressing and payload; identifies a frame for
 /// the delivery journal without storing it.
 std::uint64_t frame_digest(const Frame& frame) {
@@ -92,12 +59,12 @@ void Fabric::fold_shard_counters() const {
   if (shard_counters_.empty()) return;
   // Both enumerations visit fields in the same order, so fold by index.
   std::vector<obs::Counter*> into;
-  for_each_fabric_metric(counters_, [&](const char*, obs::Counter& c) {
+  FabricCounters::for_each(counters_, [&](const char*, obs::Counter& c) {
     into.push_back(&c);
   });
   for (auto& sc : shard_counters_) {
     std::size_t i = 0;
-    for_each_fabric_metric(sc, [&](const char*, obs::Counter& c) {
+    FabricCounters::for_each(sc, [&](const char*, obs::Counter& c) {
       const std::uint64_t delta = c.value();
       if (delta != 0) {
         *into[i] += delta;
@@ -132,7 +99,7 @@ FabricCounters& Fabric::ctrs(NicId id) {
 void Fabric::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
   obs_scope_ = std::move(scope);
-  counters_.bind(obs.registry, obs_scope_);
+  obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
 SegmentId Fabric::add_segment(SegmentConfig config) {
@@ -332,26 +299,18 @@ void Fabric::schedule_delivery(NicId from, NicId to, sim::TimePoint when,
   shards_->post(sf, st, when, std::move(fn));
 }
 
-void Fabric::deliver_later(const Segment& seg, NicId from, NicId to,
-                           Frame frame) {
+sim::TimePoint Fabric::arrival(const Segment& seg, NicId from) {
   sim::Duration latency = seg.config.latency;
   if (seg.config.jitter > sim::kZero) {
     latency += tx_rng(from).duration_range(sim::kZero, seg.config.jitter);
   }
-  const sim::TimePoint when = sched_of(from).now() + latency;
-  schedule_delivery(from, to, when,
-                    [this, to, frame = std::move(frame)]() mutable {
-                      deliver_now(to, std::move(frame));
-                    });
+  return sched_of(from).now() + latency;
 }
 
-void Fabric::send(NicId from, Frame frame) {
+template <class Fn>
+void Fabric::route(NicId from, const Frame& frame, FabricCounters& c,
+                   Fn&& to) {
   const auto& sender = nic(from);
-  auto& c = ctrs(from);
-  if (!sender.up) {
-    ++c.dropped_nic_down;
-    return;
-  }
   const auto& seg = segments_[static_cast<std::size_t>(sender.segment)];
   ++c.frames_sent;
   if (tap_) tap_(sender.segment, frame);
@@ -360,6 +319,18 @@ void Fabric::send(NicId from, Frame frame) {
     ++c.dropped_random;
     return;
   }
+  auto reachable = [&](NicId id, const Nic& target) {
+    if (!target.up) {
+      ++c.dropped_nic_down;
+    } else if (target.component != sender.component) {
+      ++c.dropped_partition;
+    } else if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
+      ++c.dropped_directional;
+    } else {
+      return true;
+    }
+    return false;
+  };
 
   if (frame.dst.is_group()) {
     // Broadcast goes to everyone; multicast only to NICs with the filter.
@@ -369,61 +340,44 @@ void Fabric::send(NicId from, Frame frame) {
       if (!frame.dst.is_broadcast() && target.filters.count(frame.dst) == 0) {
         continue;
       }
-      if (!target.up) {
-        ++c.dropped_nic_down;
-        continue;
-      }
-      if (target.component != sender.component) {
-        ++c.dropped_partition;
-        continue;
-      }
-      if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-        ++c.dropped_directional;
-        continue;
-      }
-      deliver_later(seg, from, id, frame);
+      if (reachable(id, target)) to(seg, id);
     }
     return;
   }
-
   for (NicId id : seg.nics) {
     const auto& target = nic(id);
     if (target.mac != frame.dst) continue;
-    if (!target.up) {
-      ++c.dropped_nic_down;
-      return;
-    }
-    if (target.component != sender.component) {
-      ++c.dropped_partition;
-      return;
-    }
-    if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-      ++c.dropped_directional;
-      return;
-    }
-    deliver_later(seg, from, id, frame);
+    if (reachable(id, target)) to(seg, id);
     return;
   }
   ++c.dropped_no_target;
 }
 
+void Fabric::send(NicId from, Frame frame) {
+  auto& c = ctrs(from);
+  if (!nic(from).up) {
+    ++c.dropped_nic_down;
+    return;
+  }
+  route(from, frame, c, [&](const Segment& seg, NicId to) {
+    schedule_delivery(from, to, arrival(seg, from),
+                      [this, to, frame]() mutable {
+                        deliver_now(to, std::move(frame));
+                      });
+  });
+}
+
 void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
   if (frames.empty()) return;
-  const auto& sender = nic(from);
   auto& c = ctrs(from);
-  if (!sender.up) {
+  if (!nic(from).up) {
     c.dropped_nic_down += frames.size();
     return;
   }
-  const auto& seg = segments_[static_cast<std::size_t>(sender.segment)];
-  sim::Rng& rng = tx_rng(from);
-  const sim::TimePoint tnow = sched_of(from).now();
 
-  // Phase 1 mirrors send() once per frame — same counter bumps, same
-  // eligibility checks, and crucially the same RNG draw order (one drop
-  // draw per frame on lossy segments, one jitter draw per accepted
-  // (frame, receiver) pair) — but records the computed arrival instead of
-  // scheduling an event.
+  // Phase 1 routes each frame as send() does (same counter bumps, same
+  // RNG draws in the same order) but records the computed arrival instead
+  // of scheduling an event.
   struct Pending {
     sim::TimePoint when;
     std::uint32_t order;  // draw order; stands in for the scheduler seq
@@ -431,66 +385,10 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
   };
   std::map<NicId, std::vector<Pending>> deliveries;
   std::uint32_t order = 0;
-  auto arrival = [&] {
-    sim::Duration latency = seg.config.latency;
-    if (seg.config.jitter > sim::kZero) {
-      latency += rng.duration_range(sim::kZero, seg.config.jitter);
-    }
-    return tnow + latency;
-  };
-
   for (std::uint32_t fi = 0; fi < frames.size(); ++fi) {
-    const Frame& frame = frames[fi];
-    ++c.frames_sent;
-    if (tap_) tap_(sender.segment, frame);
-    if (seg.config.drop_probability > 0 &&
-        rng.chance(seg.config.drop_probability)) {
-      ++c.dropped_random;
-      continue;
-    }
-
-    if (frame.dst.is_group()) {
-      for (NicId id : seg.nics) {
-        if (id == from) continue;
-        const auto& target = nic(id);
-        if (!frame.dst.is_broadcast() &&
-            target.filters.count(frame.dst) == 0) {
-          continue;
-        }
-        if (!target.up) {
-          ++c.dropped_nic_down;
-          continue;
-        }
-        if (target.component != sender.component) {
-          ++c.dropped_partition;
-          continue;
-        }
-        if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-          ++c.dropped_directional;
-          continue;
-        }
-        deliveries[id].push_back(Pending{arrival(), order++, fi});
-      }
-      continue;
-    }
-
-    bool matched = false;
-    for (NicId id : seg.nics) {
-      const auto& target = nic(id);
-      if (target.mac != frame.dst) continue;
-      matched = true;
-      if (!target.up) {
-        ++c.dropped_nic_down;
-      } else if (target.component != sender.component) {
-        ++c.dropped_partition;
-      } else if (!blocked_.empty() && blocked_.count({from, id}) > 0) {
-        ++c.dropped_directional;
-      } else {
-        deliveries[id].push_back(Pending{arrival(), order++, fi});
-      }
-      break;
-    }
-    if (!matched) ++c.dropped_no_target;
+    route(from, frames[fi], c, [&](const Segment& seg, NicId to) {
+      deliveries[to].push_back(Pending{arrival(seg, from), order++, fi});
+    });
   }
 
   // Phase 2: one event per receiver at its batch's LAST arrival, handing

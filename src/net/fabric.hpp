@@ -47,9 +47,17 @@ struct FabricCounters {
   obs::Counter dropped_random;       // loss model
   obs::Counter dropped_directional;  // one-way link faults
 
-  void bind(obs::MetricRegistry& registry, const std::string& scope);
-  void export_into(obs::MetricRegistry& registry,
-                   const std::string& scope) const;
+  /// Enumerate (name, field) pairs: the metric names under "net".
+  template <class Self, class Fn>
+  static void for_each(Self& self, Fn&& fn) {
+    fn("frames_sent", self.frames_sent);
+    fn("frames_delivered", self.frames_delivered);
+    fn("dropped_no_target", self.dropped_no_target);
+    fn("dropped_partition", self.dropped_partition);
+    fn("dropped_nic_down", self.dropped_nic_down);
+    fn("dropped_random", self.dropped_random);
+    fn("dropped_directional", self.dropped_directional);
+  }
 };
 
 class Fabric {
@@ -204,7 +212,15 @@ class Fabric {
 
   const Nic& nic(NicId id) const;
   Nic& nic(NicId id);
-  void deliver_later(const Segment& seg, NicId from, NicId to, Frame frame);
+  /// One frame onto the sender's segment: count it, tap it, draw its
+  /// loss, then call `to(segment, receiver)` for each NIC that should get
+  /// it. A receiver that is down, partitioned away or blocked is counted
+  /// as a drop instead. send() and send_batch() both route through here,
+  /// so they bump the same counters and draw the RNG in the same order.
+  template <class Fn>
+  void route(NicId from, const Frame& frame, FabricCounters& c, Fn&& to);
+  /// When a frame `from` sends now arrives: latency plus a jitter draw.
+  [[nodiscard]] sim::TimePoint arrival(const Segment& seg, NicId from);
   /// Hand `frame` to `to` right now (the body of every delivery event):
   /// re-checks liveness, bumps the receiver-side counters, journals.
   void deliver_now(NicId to, Frame frame);

@@ -6,42 +6,8 @@
 
 namespace wam::net {
 
-namespace {
-
-// Single source of truth for the host metric names: bind() and
-// export_into() both enumerate through here.
-template <typename Counters, typename Fn>
-void for_each_host_metric(Counters& c, Fn&& fn) {
-  fn("udp_sent", c.udp_sent);
-  fn("udp_received", c.udp_received);
-  fn("udp_no_socket", c.udp_no_socket);
-  fn("ip_forwarded", c.ip_forwarded);
-  fn("ip_no_route", c.ip_no_route);
-  fn("ip_not_ours", c.ip_not_ours);
-  fn("arp_requests_sent", c.arp_requests_sent);
-  fn("arp_replies_sent", c.arp_replies_sent);
-  fn("arp_resolution_failures", c.arp_resolution_failures);
-  fn("decode_errors", c.decode_errors);
-}
-
-}  // namespace
-
-void HostCounters::bind(obs::MetricRegistry& registry,
-                        const std::string& scope) {
-  for_each_host_metric(*this, [&](const char* name, obs::Counter& c) {
-    registry.bind(c, scope + "/" + name);
-  });
-}
-
-void HostCounters::export_into(obs::MetricRegistry& registry,
-                               const std::string& scope) const {
-  for_each_host_metric(*this, [&](const char* name, const obs::Counter& c) {
-    registry.counter(scope + "/" + name) = c.value();
-  });
-}
-
 void Host::bind_observability(obs::Observability& obs, std::string scope) {
-  counters_.bind(obs.registry, scope);
+  obs::bind_counters(obs.registry, counters_, scope);
 }
 
 Host::Host(sim::Scheduler& sched, Fabric& fabric, std::string name,

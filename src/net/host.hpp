@@ -41,9 +41,20 @@ struct HostCounters {
   obs::Counter arp_resolution_failures;
   obs::Counter decode_errors;
 
-  void bind(obs::MetricRegistry& registry, const std::string& scope);
-  void export_into(obs::MetricRegistry& registry,
-                   const std::string& scope) const;
+  /// Enumerate (name, field) pairs: the metric names under "net/s<N>".
+  template <class Self, class Fn>
+  static void for_each(Self& self, Fn&& fn) {
+    fn("udp_sent", self.udp_sent);
+    fn("udp_received", self.udp_received);
+    fn("udp_no_socket", self.udp_no_socket);
+    fn("ip_forwarded", self.ip_forwarded);
+    fn("ip_no_route", self.ip_no_route);
+    fn("ip_not_ours", self.ip_not_ours);
+    fn("arp_requests_sent", self.arp_requests_sent);
+    fn("arp_replies_sent", self.arp_replies_sent);
+    fn("arp_resolution_failures", self.arp_resolution_failures);
+    fn("decode_errors", self.decode_errors);
+  }
 };
 
 class Host {

@@ -9,10 +9,11 @@
 //
 // The legacy per-component counter structs (WamCounters, gcs
 // DaemonCounters, FabricCounters, HostCounters) are retained as *views*
-// over registry cells: each field is an obs::Counter that, once bind()-ed,
-// reads and writes the registry cell directly. Unbound counters work
-// standalone, so components remain usable without any observability
-// context (tests construct daemons bare all the time). Copying a Counter
+// over registry cells: each field is an obs::Counter that, once bound by
+// bind_counters(), reads and writes the registry cell directly. Each struct
+// lists its (name, field) pairs once, in a static for_each. Unbound
+// counters work standalone, so components remain usable without any
+// observability context (tests construct daemons bare all the time). Copying a Counter
 // snapshots its current value — `auto before = d.counters().views_installed`
 // keeps meaning what it always meant.
 #pragma once
@@ -184,5 +185,15 @@ class MetricRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
+
+/// Back every field of a counter struct with the registry cell
+/// "<scope>/<field name>", as listed by the struct's static for_each.
+template <class Counters>
+void bind_counters(MetricRegistry& registry, Counters& counters,
+                   const std::string& scope) {
+  Counters::for_each(counters, [&](const char* name, Counter& c) {
+    registry.bind(c, scope + "/" + name);
+  });
+}
 
 }  // namespace wam::obs

@@ -16,13 +16,6 @@ const char* wam_state_name(WamState s) {
   return "?";
 }
 
-void WamCounters::bind(obs::MetricRegistry& registry,
-                       const std::string& scope) {
-  for_each(*this, [&](const char* name, obs::Counter& c) {
-    registry.bind(c, scope + "/" + name);
-  });
-}
-
 void WamCounters::export_into(obs::MetricRegistry& registry,
                               const std::string& scope) const {
   for_each(*this, [&](const char* name, const obs::Counter& c) {
@@ -60,7 +53,7 @@ Daemon::Daemon(sim::Scheduler& sched, Config config, gcs::Daemon& gcs,
 void Daemon::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
   obs_scope_ = std::move(scope);
-  counters_.bind(obs.registry, obs_scope_);
+  obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
 void Daemon::emit(obs::EventType type,

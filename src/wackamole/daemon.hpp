@@ -92,14 +92,13 @@ struct WamCounters {
   obs::Counter self_heals;            // heal actions taken on detection
   obs::Counter resyncs;               // leave+rejoin rebuilds executed
 
-  /// Back every field with a registry cell named "<scope>/<field>".
-  void bind(obs::MetricRegistry& registry, const std::string& scope);
   /// Copy current values into `registry` (snapshot for unbound daemons).
   void export_into(obs::MetricRegistry& registry,
                    const std::string& scope) const;
 
   /// Enumerate (name, field) pairs — the single source of truth for the
-  /// field names used by bind(), export_into() and the JSON renderers.
+  /// field names used by obs::bind_counters(), export_into() and the JSON
+  /// renderers.
   template <class Self, class Fn>
   static void for_each(Self& self, Fn&& fn) {
     fn("view_changes", self.view_changes);

@@ -113,7 +113,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     auto config = wackamole::Config::web_cluster(vips, 0);
     config.balance_timeout = options_.balance_timeout;
     config.maturity_timeout = options_.maturity_timeout;
-    config.start_mature = options_.maturity_timeout == sim::kZero;
     config.announce_interval = options_.announce_interval;
     config.quarantine_cooldown = options_.quarantine_cooldown;
     config.audit_interval = options_.audit_interval;

@@ -78,7 +78,6 @@ RouterScenario::RouterScenario(RouterScenarioOptions options)
     config.vip_groups = {group};
     config.balance_timeout = options_.balance_timeout;
     config.maturity_timeout = sim::kZero;
-    config.start_mature = true;
     config.arp_share_interval = options_.arp_share_interval;
     auto wamd = std::make_unique<wackamole::Daemon>(sched, config, *gcsd,
                                                     *ipmgr, &log);

@@ -109,7 +109,6 @@ Config parse_config(const std::string& text) {
     } else if (key == "mature") {
       config.maturity_timeout =
           conf::parse_duration(value, line_no, line, fail);
-      config.start_mature = config.maturity_timeout == sim::kZero;
     } else if (key == "balance") {
       config.balance_timeout = conf::parse_duration(value, line_no, line, fail);
     } else if (key == "spreadretryinterval") {

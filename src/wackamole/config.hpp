@@ -42,10 +42,9 @@ struct Config {
   /// Re-balancing trigger period in the RUN state (§3.4). Zero disables.
   sim::Duration balance_timeout = sim::seconds(60.0);
   /// Bootstrap maturity timeout (§3.4): an immature server that meets no
-  /// mature peer starts managing addresses after this delay.
+  /// mature peer starts managing addresses after this delay. Zero starts
+  /// the daemon mature (no bootstrap optimization).
   sim::Duration maturity_timeout = sim::seconds(30.0);
-  /// Start mature (skips the bootstrap optimization; used in tests).
-  bool start_mature = false;
   /// Retry period for reconnecting to a dead local GCS daemon (§4.2).
   sim::Duration reconnect_interval = sim::seconds(2.0);
   /// Router application: period for sharing local ARP-cache knowledge so

@@ -7,6 +7,17 @@
 
 namespace wam::wackamole {
 
+namespace {
+
+/// base * 2^doublings, capped at `cap` (the doubling stops at the cap).
+sim::Duration capped_doubling(sim::Duration base, int doublings,
+                              sim::Duration cap) {
+  for (int i = 0; i < doublings && base < cap; ++i) base += base;
+  return std::min(base, cap);
+}
+
+}  // namespace
+
 const char* wam_state_name(WamState s) {
   switch (s) {
     case WamState::kIdle: return "IDLE";
@@ -71,22 +82,28 @@ void Daemon::enter_state(WamState next) {
        {{"from", wam_state_name(from)}, {"to", wam_state_name(next)}});
 }
 
+void Daemon::arm(sim::TimerHandle& timer, sim::Duration interval,
+                 void (Daemon::*tick)()) {
+  if (interval == sim::kZero) return;
+  timer.cancel();
+  timer = sched_.schedule(interval, [this, tick] { (this->*tick)(); });
+}
+
 void Daemon::start() {
   WAM_EXPECTS(!running_);
   running_ = true;
-  mature_ = config_.start_mature;
+  mature_ = config_.maturity_timeout == sim::kZero;
   state_ = WamState::kIdle;
   state_since_ = sched_.now();
   if (client_.connect(gcs_)) {
     client_.join(config_.group);
   } else {
-    reconnect_timer_ = sched_.schedule(config_.reconnect_interval,
-                                       [this] { reconnect_tick(); });
+    schedule_reconnect();
   }
-  if (!mature_) arm_maturity_timer();
-  arm_arp_share_timer();
-  arm_announce_timer();
-  arm_audit_timer();
+  arm(maturity_timer_, config_.maturity_timeout, &Daemon::maturity_tick);
+  arm(arp_share_timer_, config_.arp_share_interval, &Daemon::arp_share_tick);
+  arm(announce_timer_, config_.announce_interval, &Daemon::announce_tick);
+  arm(audit_timer_, config_.audit_interval, &Daemon::audit_tick);
   log_.info("wackamole starting (%s)", mature_ ? "mature" : "immature");
 }
 
@@ -97,7 +114,6 @@ void Daemon::graceful_shutdown() {
   // about to be discarded, so nothing is healed.
   run_audit(AuditPoint::kShutdown);
   running_ = false;
-  balance_timer_.cancel();
   maturity_timer_.cancel();
   arp_share_timer_.cancel();
   announce_timer_.cancel();
@@ -105,8 +121,11 @@ void Daemon::graceful_shutdown() {
   audit_timer_.cancel();
   resync_timer_.cancel();
   resync_pending_ = false;
-  cancel_pending_acquires();
-  for (auto& [name, p] : pending_releases_) p.timer.cancel();
+  // The peer table outlives the shutdown: maturity_tick() reads it, so a
+  // restarted daemon whose maturity timeout expires before it rejoins
+  // still counts the peers of its last view as mature ones.
+  reset_view(std::nullopt, /*keep_peers=*/true);
+  for (auto& [pos, p] : pending_releases_) p.timer.cancel();
   pending_releases_.clear();
   for (auto& [name, t] : cooldown_timers_) t.cancel();
   cooldown_timers_.clear();
@@ -119,8 +138,6 @@ void Daemon::graceful_shutdown() {
   release_everything("graceful_shutdown");
   if (client_.connected()) client_.disconnect();
   enter_state(WamState::kIdle);
-  view_.reset();
-  table_.clear();
   log_.info("graceful shutdown complete");
 }
 
@@ -138,8 +155,10 @@ std::vector<std::string> Daemon::quarantined_groups() const {
 }
 
 bool Daemon::is_representative() const {
-  if (!view_ || view_->members.empty() || !client_.connected()) return false;
-  return view_->members.front() == client_.self();
+  if (!pv_.view || pv_.view->members.empty() || !client_.connected()) {
+    return false;
+  }
+  return pv_.view->members.front() == client_.self();
 }
 
 std::optional<gcs::MemberId> Daemon::self() const {
@@ -164,15 +183,7 @@ void Daemon::on_membership(const gcs::GroupView& gv) {
   // Algorithm 1 lines 1-4 / Algorithm 2 lines 7-9: clear the table (the
   // addresses we actually hold are our "old table" knowledge), send a
   // STATE_MSG tagged with the new view, and enter GATHER.
-  view_ = gv;
-  view_tag_ = ViewTag::of(gv);
-  table_.clear();
-  received_.clear();
-  info_.clear();
-  balance_timer_.cancel();
-  // In-flight acquire retries are moot: the new GATHER recomputes the
-  // allocation from scratch (quarantine survives — it rides in STATE_MSGs).
-  cancel_pending_acquires();
+  reset_view(gv);
   // Enter GATHER before multicasting: local delivery is synchronous, so our
   // own STATE_MSG can arrive inside the multicast call below.
   enter_state(WamState::kGather);
@@ -233,14 +244,29 @@ void Daemon::on_disconnect() {
   log_.warn("lost local GCS daemon: releasing all virtual interfaces");
   // Correctness cannot be ensured without the GCS (§4.2): drop everything
   // and retry the connection periodically.
-  cancel_pending_acquires();
+  reset_view(std::nullopt);
   release_everything("gcs_disconnect");
   enter_state(WamState::kIdle);
-  view_.reset();
-  table_.clear();
-  received_.clear();
-  info_.clear();
+  schedule_reconnect();
+}
+
+void Daemon::reset_view(std::optional<gcs::GroupView> next, bool keep_peers) {
   balance_timer_.cancel();
+  // In-flight acquire retries are moot: the next GATHER recomputes the
+  // allocation from scratch (quarantine survives — it rides in STATE_MSGs).
+  for (auto& [pos, p] : pending_acquires_) p.timer.cancel();
+  pending_acquires_.clear();
+  // Outside a view the tag is never read: every handler and sender is
+  // gated on a state other than IDLE, and the auditor checks the tag only
+  // against an installed view.
+  pv_.tag = next ? ViewTag::of(*next) : ViewTag{};
+  pv_.view = std::move(next);
+  pv_.table.clear();
+  pv_.received.clear();
+  if (!keep_peers) pv_.info.clear();
+}
+
+void Daemon::schedule_reconnect() {
   reconnect_timer_.cancel();
   reconnect_timer_ = sched_.schedule(config_.reconnect_interval,
                                      [this] { reconnect_tick(); });
@@ -254,15 +280,14 @@ void Daemon::reconnect_tick() {
     client_.join(config_.group);
     return;
   }
-  reconnect_timer_ = sched_.schedule(config_.reconnect_interval,
-                                     [this] { reconnect_tick(); });
+  schedule_reconnect();
 }
 
 // --------------------------------------------------------- STATE_MSG ----
 
 void Daemon::send_state_msg() {
   StateMsgV2 m;
-  m.view = view_tag_;
+  m.view = pv_.tag;
   m.mature = mature_;
   m.weight = static_cast<std::uint32_t>(config_.weight);
   // Positions are name-sorted, so the owned list goes out in the same
@@ -282,7 +307,7 @@ void Daemon::send_state_msg() {
 void Daemon::handle_state_msg(const gcs::MemberId& sender,
                               const StateMsgV2& m) {
   if (state_ == WamState::kIdle) return;
-  if (m.view != view_tag_) {
+  if (m.view != pv_.tag) {
     // Algorithm 2 line 1: only STATE_MSGs generated in the current view
     // count; stale ones are discarded.
     ++counters_.stale_msgs_ignored;
@@ -290,7 +315,7 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
   }
   ++counters_.state_msgs_received;
 
-  auto& peer = info_[sender];
+  auto& peer = pv_.info[sender];
   peer.mature = m.mature;
   // Clamp to [1, INT_MAX]: a zero weight would starve the sender of every
   // target share, and a u32 past INT_MAX would turn negative in the cast
@@ -313,7 +338,7 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
                 sender.to_string().c_str(), group_name(id).c_str());
       continue;
     }
-    auto result = table_.claim(id, sender, *view_);
+    auto result = pv_.table.claim(id, sender, *pv_.view);
     if (result.dropped && client_.connected() &&
         *result.dropped == client_.self()) {
       log_.info("conflict on %s: releasing (we precede %s in the view)",
@@ -324,10 +349,10 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
   }
 
   if (state_ == WamState::kGather) {
-    received_.insert(sender);
+    pv_.received.insert(sender);
     bool complete = true;
-    for (const auto& member : view_->members) {
-      if (received_.count(member) == 0) {
+    for (const auto& member : pv_.view->members) {
+      if (pv_.received.count(member) == 0) {
         complete = false;
         break;
       }
@@ -336,95 +361,89 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
   }
 }
 
-std::size_t Daemon::multicast_allocation(const VipTable& table, bool alloc) {
+void Daemon::send_allocation(const Allocation& allocation, bool alloc) {
   BalanceMsgV2 m;
-  m.view = view_tag_;
-  // The wire order must be group-NAME order on every member (ids are
-  // process-local). All ids of a daemon-built table are configured groups,
-  // so ascending position is that order; entries claimed for unknown
-  // groups by a version-skewed peer (possible in a received table) force
-  // the slow name sort.
-  // (position, (owner ip, owner client)) per entry.
-  std::vector<std::pair<std::uint32_t, std::pair<std::uint32_t, std::uint32_t>>>
-      order;
-  order.reserve(table.size());
-  bool all_known = true;
-  table.for_each_owner([&](GroupId id, const gcs::MemberId& owner) {
-    auto pos = groups_.position_of(id);
-    if (!pos) {
-      all_known = false;
-      return;
-    }
-    order.emplace_back(*pos,
-                       std::make_pair(owner.daemon.value(), owner.client));
-  });
-  m.allocation.reserve(table.size());
-  if (all_known) {
-    std::sort(order.begin(), order.end());
-    for (const auto& [pos, owner] : order) {
-      m.allocation.emplace_back(groups_.ids[pos], owner);
-    }
-  } else {
-    for (const auto& [name, owner] : table.owners()) {
-      m.allocation.emplace_back(
-          intern_group(name),
-          std::make_pair(owner.daemon.value(), owner.client));
-    }
+  m.view = pv_.tag;
+  m.allocation.reserve(allocation.size());
+  for (const auto& [pos, owner] : allocation) {
+    m.allocation.emplace_back(
+        groups_.ids[pos], std::make_pair(owner.daemon.value(), owner.client));
   }
   client_.multicast(config_.group,
                     alloc ? encode_alloc_v2(m) : encode_balance_v2(m));
-  return m.allocation.size();
 }
 
 void Daemon::finish_gather() {
-  if (config_.representative_driven) {
-    // §4.2 variant: only the representative decides; its ALLOC_MSG imposes
-    // the assignment on everyone (including itself, via self-delivery).
+  // Representative mode enters RUN first: its ALLOC self-delivers inside
+  // the multicast, and only RUN applies an allocation. Deterministic mode
+  // enters RUN once its own acquires are issued.
+  auto enter_run = [this] {
     enter_state(WamState::kRun);
-    arm_balance_timer();
-    if (is_representative()) {
-      auto states = member_states();
-      auto assignments = reallocate_ips_fast(groups_, table_, states);
-      VipTable proposed = table_;
-      for (const auto& [pos, mi] : assignments) {
-        proposed.set_owner(groups_.ids[pos], states[mi].id);
-      }
-      auto sent = multicast_allocation(proposed, /*alloc=*/true);
-      ++counters_.reallocations;
-      emit(obs::EventType::kReallocation,
-           {{"groups", std::to_string(sent)}, {"mode", "representative"}});
-      log_.info("GATHER complete (representative): imposing allocation of "
-                "%zu groups",
-                sent);
-    } else {
-      log_.info("GATHER complete: awaiting the representative's allocation");
-    }
+    arm(balance_timer_, config_.balance_timeout, &Daemon::balance_tick);
+  };
+  if (config_.representative_driven) enter_run();
+  reallocate(Trigger::kGather);
+  if (!config_.representative_driven) enter_run();
+}
+
+void Daemon::reallocate(Trigger trigger) {
+  const bool gather = trigger == Trigger::kGather;
+  const bool representative = config_.representative_driven;
+  // §4.2 variant: only the representative decides; everyone else waits
+  // for its ALLOC_MSG.
+  if (representative && !is_representative()) {
+    if (gather) log_.info("GATHER complete: awaiting the representative's "
+                          "allocation");
     return;
   }
-  // Reallocate_IPs(): every member computes the same assignment from the
+  // Reallocate_IPs(): every decider computes the same assignment from the
   // same table and the same uniquely ordered member list.
   auto states = member_states();
-  auto assignments = reallocate_ips_fast(groups_, table_, states);
-  for (const auto& [pos, mi] : assignments) {
-    table_.set_owner(groups_.ids[pos], states[mi].id);
-    if (client_.connected() && states[mi].id == client_.self()) {
-      acquire_group(pos);
+  auto assignments = reallocate_ips_fast(groups_, pv_.table, states);
+  // A GATHER always counts as a reallocation; a NOTIFY pass only when it
+  // filled a hole.
+  if (!gather && assignments.empty()) return;
+  const char* mode = !gather          ? "notify"
+                     : representative ? "representative"
+                                      : "deterministic";
+  if (representative) {
+    // Impose the whole table with the holes filled on everyone (ourselves
+    // included, via self-delivery). Only configured groups go out: an entry
+    // a version-skewed peer's BALANCE left for a group outside our set is
+    // not ours to impose.
+    Allocation allocation;
+    allocation.reserve(groups_.size());
+    auto next = assignments.begin();
+    for (std::uint32_t p = 0; p < groups_.size(); ++p) {
+      if (next != assignments.end() && next->first == p) {
+        allocation.emplace_back(p, states[(next++)->second].id);
+      } else if (auto owner = pv_.table.owner(groups_.ids[p])) {
+        allocation.emplace_back(p, *owner);
+      }
     }
+    send_allocation(allocation, /*alloc=*/true);
+    ++counters_.reallocations;
+    emit(obs::EventType::kReallocation,
+         {{"groups", std::to_string(allocation.size())}, {"mode", mode}});
+  } else {
+    for (const auto& [pos, mi] : assignments) {
+      pv_.table.set_owner(groups_.ids[pos], states[mi].id);
+      if (client_.connected() && states[mi].id == client_.self()) {
+        acquire_group(pos);
+      }
+    }
+    ++counters_.reallocations;
+    emit(obs::EventType::kReallocation,
+         {{"holes", std::to_string(assignments.size())}, {"mode", mode}});
   }
-  ++counters_.reallocations;
-  emit(obs::EventType::kReallocation,
-       {{"holes", std::to_string(assignments.size())},
-        {"mode", "deterministic"}});
-  enter_state(WamState::kRun);
-  log_.info("GATHER complete: reallocated %zu holes, table of %zu groups",
-            assignments.size(), table_.size());
-  arm_balance_timer();
+  log_.info("%s reallocation: %zu holes filled, table of %zu groups", mode,
+            assignments.size(), pv_.table.size());
 }
 
 // --------------------------------------------------------- BALANCE ----
 
 void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
-  if (state_ != WamState::kRun || m.view != view_tag_) {
+  if (state_ != WamState::kRun || m.view != pv_.tag) {
     // Algorithm 2 lines 10-11: BALANCE_MSGs are ignored during GATHER;
     // stale ones (older views) are ignored everywhere.
     ++counters_.stale_msgs_ignored;
@@ -441,7 +460,7 @@ void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
   // peer) must not silently drop that group's coverage — omitted groups
   // keep their present owner.
   if (!mature_) become_mature("balance implies a bootstrapped cluster");
-  VipTable next = table_;
+  VipTable next = pv_.table;
   std::vector<bool> listed(groups_.size(), false);
   for (const auto& [id, owner] : m.allocation) {
     next.set_owner(id, gcs::MemberId{net::Ipv4Address(owner.first),
@@ -464,66 +483,46 @@ void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
       if (!should_hold && holds) release_group(pos);
     }
   }
-  table_ = std::move(next);
-}
-
-void Daemon::arm_balance_timer() {
-  if (config_.balance_timeout == sim::kZero) return;
-  balance_timer_.cancel();
-  balance_timer_ =
-      sched_.schedule(config_.balance_timeout, [this] { balance_tick(); });
+  pv_.table = std::move(next);
 }
 
 void Daemon::balance_tick() {
   if (!running_ || state_ != WamState::kRun) return;
   if (is_representative()) run_balance();
-  arm_balance_timer();
+  arm(balance_timer_, config_.balance_timeout, &Daemon::balance_tick);
 }
 
 bool Daemon::run_balance() {
   if (state_ != WamState::kRun || !is_representative()) return false;
   auto states = member_states();
-  auto allocation = balance_ips_fast(groups_, table_, states);
-  if (allocation.empty()) return false;
+  auto placement = balance_ips_fast(groups_, pv_.table, states);
+  if (placement.empty()) return false;
   bool changed = false;
-  for (const auto& [pos, mi] : allocation) {
-    auto current = table_.owner(groups_.ids[pos]);
+  for (const auto& [pos, mi] : placement) {
+    auto current = pv_.table.owner(groups_.ids[pos]);
     if (!current || !(*current == states[mi].id)) {
       changed = true;
       break;
     }
   }
   if (!changed) return false;
-  BalanceMsgV2 m;
-  m.view = view_tag_;
-  m.allocation.reserve(allocation.size());
-  for (const auto& [pos, mi] : allocation) {
-    m.allocation.emplace_back(groups_.ids[pos],
-                              std::make_pair(states[mi].id.daemon.value(),
-                                             states[mi].id.client));
+  Allocation allocation;
+  allocation.reserve(placement.size());
+  for (const auto& [pos, mi] : placement) {
+    allocation.emplace_back(pos, states[mi].id);
   }
-  client_.multicast(config_.group, encode_balance_v2(m));
+  send_allocation(allocation, /*alloc=*/false);
   ++counters_.balance_rounds;
   emit(obs::EventType::kBalanceRound,
-       {{"groups", std::to_string(m.allocation.size())}});
+       {{"groups", std::to_string(allocation.size())}});
   log_.info("representative: broadcasting balance (%zu groups)",
-            m.allocation.size());
+            allocation.size());
   return true;
 }
 
 bool Daemon::trigger_balance() { return run_balance(); }
 
 // --------------------------------------------------------- maturity ----
-
-void Daemon::arm_maturity_timer() {
-  if (config_.maturity_timeout == sim::kZero) {
-    mature_ = true;
-    return;
-  }
-  maturity_timer_.cancel();
-  maturity_timer_ =
-      sched_.schedule(config_.maturity_timeout, [this] { maturity_tick(); });
-}
 
 void Daemon::become_mature(const char* how) {
   if (mature_) return;
@@ -535,7 +534,7 @@ void Daemon::become_mature(const char* how) {
 void Daemon::maturity_tick() {
   if (!running_ || mature_) return;
   // Anyone mature out there after all? (their STATE_MSG may have raced us)
-  for (const auto& [member, peer] : info_) {
+  for (const auto& [member, peer] : pv_.info) {
     if (peer.mature) {
       become_mature("mature peer known");
       return;
@@ -547,14 +546,14 @@ void Daemon::maturity_tick() {
     // Nobody manages the addresses: start managing them (§3.4) and tell
     // the others. Ascending position = sorted name order, as before.
     for (std::uint32_t p = 0; p < groups_.size(); ++p) {
-      if (table_.owner(groups_.ids[p])) continue;
-      table_.set_owner(groups_.ids[p], client_.self());
+      if (pv_.table.owner(groups_.ids[p])) continue;
+      pv_.table.set_owner(groups_.ids[p], client_.self());
       acquire_group(p);
     }
     send_state_msg();
   } else if (state_ == WamState::kGather) {
     // Re-announce with the mature flag; the gather in flight will fold the
-    // update in (received_ dedups the sender).
+    // update in (the received set dedups the sender).
     send_state_msg();
   }
 }
@@ -566,18 +565,6 @@ void Daemon::set_arp_share_source(
   arp_share_source_ = std::move(src);
 }
 
-void Daemon::arm_arp_share_timer() {
-  if (config_.arp_share_interval == sim::kZero) return;
-  arp_share_timer_ = sched_.schedule(config_.arp_share_interval,
-                                     [this] { arp_share_tick(); });
-}
-
-void Daemon::arm_announce_timer() {
-  if (config_.announce_interval == sim::kZero) return;
-  announce_timer_ = sched_.schedule(config_.announce_interval,
-                                    [this] { announce_tick(); });
-}
-
 void Daemon::announce_tick() {
   if (!running_) return;
   // Anti-entropy: gratuitous-ARP refresh for everything we hold, so caches
@@ -587,7 +574,7 @@ void Daemon::announce_tick() {
       ip_manager_.announce(*group_at_[pos]);
     }
   }
-  arm_announce_timer();
+  arm(announce_timer_, config_.announce_interval, &Daemon::announce_tick);
 }
 
 void Daemon::arp_share_tick() {
@@ -600,20 +587,20 @@ void Daemon::arp_share_tick() {
       client_.multicast(config_.group, encode_arp_share(m));
     }
   }
-  arm_arp_share_timer();
+  arm(arp_share_timer_, config_.arp_share_interval, &Daemon::arp_share_tick);
 }
 
 // ------------------------------------------------------------ helpers ----
 
 std::vector<MemberState> Daemon::member_states() const {
   std::vector<MemberState> out;
-  if (!view_) return out;
+  if (!pv_.view) return out;
   // §3.4: an immature server that hears a mature server's STATE_MSG in
   // GATHER marks itself mature. Since every member of the view saw the
   // same message set, "anyone mature => everyone mature" is a fact all
   // members can apply deterministically when allocating.
   bool any_mature = false;
-  for (const auto& [member, peer] : info_) {
+  for (const auto& [member, peer] : pv_.info) {
     if (peer.mature) any_mature = true;
   }
   // Ids a peer quarantined may name groups outside our config (version
@@ -628,11 +615,11 @@ std::vector<MemberState> Daemon::member_states() const {
     std::sort(positions.begin(), positions.end());
     return positions;
   };
-  for (const auto& member : view_->members) {
+  for (const auto& member : pv_.view->members) {
     MemberState ms;
     ms.id = member;
-    auto it = info_.find(member);
-    if (it != info_.end()) {
+    auto it = pv_.info.find(member);
+    if (it != pv_.info.end()) {
       ms.mature = it->second.mature || any_mature;
       ms.weight = it->second.weight;
       ms.preferred = positions_of(it->second.preferred);
@@ -649,7 +636,7 @@ void Daemon::acquire_group(std::uint32_t pos) {
   if (ip_manager_.holds(groups_.ids[pos])) return;
   auto result = ip_manager_.acquire(*group_at_[pos]);
   if (result.ok()) {
-    pending_acquires_.erase(pos);
+    forget_retry(OsOp::kAcquire, pos);
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});
     log_.info("acquired VIP group %s", name.c_str());
@@ -670,36 +657,27 @@ void Daemon::acquire_group(std::uint32_t pos) {
     ++counters_.acquire_failures;
     log_.warn("acquire of %s failed: %s", name.c_str(), result.detail.c_str());
   }
-  schedule_acquire_retry(pos, result);
+  retry(OsOp::kAcquire, pos, result);
 }
 
 void Daemon::release_group(std::uint32_t pos) {
   const auto& name = groups_.names[pos];
-  if (!ip_manager_.holds(groups_.ids[pos])) {
-    auto it = pending_releases_.find(pos);
-    if (it != pending_releases_.end()) {
-      it->second.timer.cancel();
-      pending_releases_.erase(it);
+  if (ip_manager_.holds(groups_.ids[pos])) {
+    auto result = ip_manager_.release(*group_at_[pos]);
+    if (!result.ok()) {
+      // A release that fails leaves us still answering for the address,
+      // so — unlike acquire — we never give up: retry with the same capped
+      // backoff until the unbind sticks.
+      log_.warn("release of %s failed: %s", name.c_str(),
+                result.detail.c_str());
+      retry(OsOp::kRelease, pos, result);
+      return;
     }
-    return;
+    ++counters_.releases;
+    emit(obs::EventType::kVipReleased, {{"group", name}});
+    log_.info("released VIP group %s", name.c_str());
   }
-  auto result = ip_manager_.release(*group_at_[pos]);
-  if (!result.ok()) {
-    // A release that fails leaves us still answering for the address, so —
-    // unlike acquire — we never give up: retry with the same capped backoff
-    // until the unbind sticks.
-    log_.warn("release of %s failed: %s", name.c_str(), result.detail.c_str());
-    schedule_release_retry(pos);
-    return;
-  }
-  auto it = pending_releases_.find(pos);
-  if (it != pending_releases_.end()) {
-    it->second.timer.cancel();
-    pending_releases_.erase(it);
-  }
-  ++counters_.releases;
-  emit(obs::EventType::kVipReleased, {{"group", name}});
-  log_.info("released VIP group %s", name.c_str());
+  forget_retry(OsOp::kRelease, pos);
 }
 
 void Daemon::release_everything(const char* cause) {
@@ -711,12 +689,8 @@ void Daemon::release_everything(const char* cause) {
 // -------------------------- fallible enforcement: retry / fence / NOTIFY ----
 
 sim::Duration Daemon::backoff_delay(int failed_attempts) {
-  auto delay = config_.acquire_backoff;
-  for (int i = 1; i < failed_attempts && delay < config_.acquire_backoff_max;
-       ++i) {
-    delay += delay;
-  }
-  delay = std::min(delay, config_.acquire_backoff_max);
+  auto delay = capped_doubling(config_.acquire_backoff, failed_attempts - 1,
+                               config_.acquire_backoff_max);
   if (config_.backoff_jitter > 0.0) {
     double factor = 1.0 - config_.backoff_jitter +
                     2.0 * config_.backoff_jitter * rng_.uniform();
@@ -726,78 +700,53 @@ sim::Duration Daemon::backoff_delay(int failed_attempts) {
   return delay;
 }
 
-void Daemon::cancel_pending_acquires() {
-  for (auto& [pos, p] : pending_acquires_) p.timer.cancel();
-  pending_acquires_.clear();
-}
-
-void Daemon::schedule_acquire_retry(std::uint32_t pos,
-                                    const OsOpResult& result) {
-  auto& p = pending_acquires_[pos];
+void Daemon::retry(OsOp op, std::uint32_t pos, const OsOpResult& result) {
+  if (!running_) return;  // a shutdown's releases are final
+  const bool acquire = op == OsOp::kAcquire;
+  auto& p = pending(op)[pos];
   ++p.attempts;
-  if (p.attempts >= config_.acquire_retry_limit) {
+  if (acquire && p.attempts >= config_.acquire_retry_limit) {
     fence_group(pos, result.detail);
     return;
   }
-  auto delay = backoff_delay(p.attempts);
-  ++counters_.acquire_retries;
-  p.timer.cancel();
-  p.timer = sched_.schedule(delay, [this, pos] { acquire_retry_tick(pos); });
-  log_.info("retrying acquire of %s in %.1fms (attempt %d/%d)",
-            groups_.names[pos].c_str(), sim::to_millis(delay), p.attempts,
-            config_.acquire_retry_limit);
-}
-
-void Daemon::acquire_retry_tick(std::uint32_t pos) {
-  if (!running_) return;
-  if (ip_manager_.holds(groups_.ids[pos])) {
-    pending_acquires_.erase(pos);
-    return;
-  }
-  if (!client_.connected() || state_ == WamState::kIdle) {
-    pending_acquires_.erase(pos);
-    return;
-  }
-  auto owner = table_.owner(groups_.ids[pos]);
-  if (!owner || !(*owner == client_.self())) {
-    // Reassigned (or the view changed) while we were backing off.
-    pending_acquires_.erase(pos);
-    return;
-  }
-  acquire_group(pos);
-}
-
-void Daemon::schedule_release_retry(std::uint32_t pos) {
-  if (!running_) return;
-  auto& p = pending_releases_[pos];
-  ++p.attempts;
-  ++counters_.release_retries;
+  ++(acquire ? counters_.acquire_retries : counters_.release_retries);
   auto delay = backoff_delay(p.attempts);
   p.timer.cancel();
-  p.timer = sched_.schedule(delay, [this, pos] { release_retry_tick(pos); });
+  p.timer = sched_.schedule(delay, [this, op, pos] { retry_tick(op, pos); });
+  log_.info("retrying %s of %s in %.1fms (attempt %d)",
+            acquire ? "acquire" : "release", groups_.names[pos].c_str(),
+            sim::to_millis(delay), p.attempts);
 }
 
-void Daemon::release_retry_tick(std::uint32_t pos) {
+void Daemon::retry_tick(OsOp op, std::uint32_t pos) {
   if (!running_) return;
-  if (!ip_manager_.holds(groups_.ids[pos])) {
-    pending_releases_.erase(pos);
+  const bool acquire = op == OsOp::kAcquire;
+  const auto owner = pv_.table.owner(groups_.ids[pos]);
+  const bool ours = client_.connected() && state_ != WamState::kIdle &&
+                    owner && *owner == client_.self();
+  // Moot once the group already is where the op would put it, or once the
+  // table (re)assigns it the other way — a view change or a reassignment
+  // while we were backing off.
+  if (ip_manager_.holds(groups_.ids[pos]) == acquire || ours != acquire) {
+    forget_retry(op, pos);
     return;
   }
-  if (client_.connected() && state_ != WamState::kIdle) {
-    auto owner = table_.owner(groups_.ids[pos]);
-    if (owner && *owner == client_.self()) {
-      // The cluster re-assigned the group back to us mid-retry: the failed
-      // release is moot, we are supposed to hold it after all.
-      pending_releases_.erase(pos);
-      return;
-    }
-  }
-  release_group(pos);
+  acquire ? acquire_group(pos) : release_group(pos);
+}
+
+void Daemon::forget_retry(OsOp op, std::uint32_t pos) {
+  auto& ops = pending(op);
+  auto it = ops.find(pos);
+  if (it == ops.end()) return;
+  // Only a release cancels its armed timer; an acquire's is left to fire,
+  // and retry_tick() finds it moot.
+  if (op == OsOp::kRelease) it->second.timer.cancel();
+  ops.erase(it);
 }
 
 void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
   const auto& name = groups_.names[pos];
-  pending_acquires_.erase(pos);
+  forget_retry(OsOp::kAcquire, pos);
   // Drop whatever partial state the failed acquires left behind. (Sim
   // acquisition is all-or-nothing; real platforms may partially bind.)
   if (ip_manager_.holds(groups_.ids[pos])) {
@@ -820,7 +769,7 @@ void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
     // targeted Reallocate_IPs() excluding us, so coverage migrates now
     // instead of waiting for client-visible death (§4.2 fast path). Our own
     // copy self-delivers, which clears the table entry and folds the
-    // quarantine into info_ exactly like at every peer.
+    // quarantine into the peer table exactly like at every peer.
     if (client_.connected() && state_ != WamState::kIdle) {
       send_notify(name, true, reason);
     }
@@ -831,7 +780,7 @@ void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
 void Daemon::send_notify(const std::string& group, bool fenced,
                          const std::string& reason) {
   NotifyMsg m;
-  m.view = view_tag_;
+  m.view = pv_.tag;
   m.group = group;
   m.fenced = fenced;
   m.cooldown_ms =
@@ -843,7 +792,7 @@ void Daemon::send_notify(const std::string& group, bool fenced,
 
 void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
   if (state_ == WamState::kIdle) return;
-  if (m.view != view_tag_) {
+  if (m.view != pv_.tag) {
     ++counters_.stale_msgs_ignored;
     return;
   }
@@ -855,50 +804,21 @@ void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
     return;
   }
   auto id = groups_.ids[*pos];
-  auto& peer = info_[sender];
+  auto& peer = pv_.info[sender];
   if (m.fenced) {
     peer.quarantined.insert(id);
     log_.info("%s fenced %s (%s): reallocating around it",
               sender.to_string().c_str(), m.group.c_str(), m.reason.c_str());
     // The fenced member holds the allocation but cannot enforce it: drop
     // its claim and re-run the deterministic reallocation without it.
-    auto owner = table_.owner(id);
-    if (owner && *owner == sender) table_.clear_owner(id);
-    if (state_ == WamState::kRun) reallocate_holes("notify");
+    auto owner = pv_.table.owner(id);
+    if (owner && *owner == sender) pv_.table.clear_owner(id);
+    if (state_ == WamState::kRun) reallocate(Trigger::kNotify);
   } else {
     peer.quarantined.erase(id);
     log_.info("%s cleared its quarantine of %s", sender.to_string().c_str(),
               m.group.c_str());
   }
-}
-
-void Daemon::reallocate_holes(const char* mode) {
-  auto states = member_states();
-  auto assignments = reallocate_ips_fast(groups_, table_, states);
-  if (assignments.empty()) return;
-  if (config_.representative_driven) {
-    // §4.2 variant: only the representative decides; everyone else waits
-    // for its ALLOC_MSG.
-    if (!is_representative()) return;
-    VipTable proposed = table_;
-    for (const auto& [pos, mi] : assignments) {
-      proposed.set_owner(groups_.ids[pos], states[mi].id);
-    }
-    auto sent = multicast_allocation(proposed, /*alloc=*/true);
-    ++counters_.reallocations;
-    emit(obs::EventType::kReallocation,
-         {{"groups", std::to_string(sent)}, {"mode", mode}});
-    return;
-  }
-  for (const auto& [pos, mi] : assignments) {
-    table_.set_owner(groups_.ids[pos], states[mi].id);
-    if (client_.connected() && states[mi].id == client_.self()) {
-      acquire_group(pos);
-    }
-  }
-  ++counters_.reallocations;
-  emit(obs::EventType::kReallocation,
-       {{"holes", std::to_string(assignments.size())}, {"mode", mode}});
 }
 
 void Daemon::arm_cooldown(const std::string& name) {
@@ -919,7 +839,7 @@ void Daemon::cooldown_tick(const std::string& name) {
   WAM_ASSERT(pos.has_value());
   const auto id = groups_.ids[*pos];
   const auto& group = *group_at_[*pos];
-  auto owner = table_.owner(id);
+  auto owner = pv_.table.owner(id);
   bool ours_or_hole = !owner || *owner == client_.self();
   // Probe the enforcement layer: a real acquire when the group is ours to
   // take (hole, or still nominally ours), a side-effect-free announce when
@@ -938,7 +858,7 @@ void Daemon::cooldown_tick(const std::string& name) {
             name.c_str());
   bool claimed = false;
   if (ours_or_hole && result.ok() && ip_manager_.holds(id)) {
-    table_.set_owner(id, client_.self());
+    pv_.table.set_owner(id, client_.self());
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});
     claimed = true;
@@ -951,29 +871,20 @@ void Daemon::cooldown_tick(const std::string& name) {
 
 // --------------------------- self-stabilization: audit / heal / resync ----
 
-namespace {
-const char* audit_point_name(int p) {
-  switch (p) {
-    case 0: return "timer";
-    case 1: return "boundary";
-    case 2: return "pre-wipe";
-    case 3: return "shutdown";
+const char* Daemon::audit_point_name(AuditPoint point) {
+  switch (point) {
+    case AuditPoint::kTimer: return "timer";
+    case AuditPoint::kBoundary: return "boundary";
+    case AuditPoint::kPreWipe: return "pre-wipe";
+    case AuditPoint::kShutdown: return "shutdown";
   }
   return "?";
-}
-}  // namespace
-
-void Daemon::arm_audit_timer() {
-  if (config_.audit_interval == sim::kZero) return;
-  audit_timer_.cancel();
-  audit_timer_ =
-      sched_.schedule(config_.audit_interval, [this] { audit_tick(); });
 }
 
 void Daemon::audit_tick() {
   if (!running_) return;
   run_audit(AuditPoint::kTimer);
-  arm_audit_timer();
+  arm(audit_timer_, config_.audit_interval, &Daemon::audit_tick);
 }
 
 void Daemon::run_audit(AuditPoint point) {
@@ -1002,15 +913,14 @@ void Daemon::run_audit(AuditPoint point) {
   for (const auto& f : findings) {
     if (!checks.empty()) checks += ',';
     checks += audit_check_name(f.check);
-    log_.warn("state audit [%s] %s%s%s: %s",
-              audit_point_name(static_cast<int>(point)),
+    log_.warn("state audit [%s] %s%s%s: %s", audit_point_name(point),
               audit_check_name(f.check), f.group.empty() ? "" : " ",
               f.group.c_str(), f.detail.c_str());
   }
   emit(obs::EventType::kCorruptionDetected,
        {{"checks", checks},
         {"count", std::to_string(findings.size())},
-        {"at", audit_point_name(static_cast<int>(point))}});
+        {"at", audit_point_name(point)}});
 
   if (point == AuditPoint::kShutdown) {
     // Detect-only: the shutdown discards the state anyway.
@@ -1068,8 +978,8 @@ void Daemon::run_audit(AuditPoint point) {
     // the cooldown probe clears the fence once the dust settles. The
     // table is consistent again BEFORE the first multicast below (local
     // delivery is synchronous).
-    for (auto id : bogus) table_.clear_owner(id);
-    table_.rebuild();
+    for (auto id : bogus) pv_.table.clear_owner(id);
+    pv_.table.rebuild();
     ++counters_.self_heals;
     emit(obs::EventType::kSelfHeal,
          {{"action", "fence"}, {"groups", std::to_string(bogus.size())}});
@@ -1085,7 +995,7 @@ void Daemon::run_audit(AuditPoint point) {
     schedule_resync(view_tag ? "view-tag mismatch" : "table checksum");
   } else if (index && bogus.empty() && !checksum) {
     // Index-only drift: the owner map is intact, rebuild the index.
-    table_.rebuild();
+    pv_.table.rebuild();
     ++counters_.self_heals;
     emit(obs::EventType::kSelfHeal, {{"action", "rebuild-index"}});
   }
@@ -1095,12 +1005,8 @@ void Daemon::run_audit(AuditPoint point) {
 void Daemon::schedule_resync(const std::string& why) {
   if (resync_pending_) return;
   resync_pending_ = true;
-  auto delay = config_.resync_delay;
-  for (int i = 0; i < resync_attempts_ && delay < config_.resync_backoff_max;
-       ++i) {
-    delay += delay;
-  }
-  delay = std::min(delay, config_.resync_backoff_max);
+  auto delay = capped_doubling(config_.resync_delay, resync_attempts_,
+                               config_.resync_backoff_max);
   ++resync_attempts_;
   last_resync_at_ = sched_.now();
   log_.warn("scheduling resync in %.1fms (%s, attempt %d)",
@@ -1132,21 +1038,13 @@ void Daemon::resync_tick() {
   // from the peers' STATE_MSGs. Quarantine deliberately survives — it
   // rides in STATE_MSGs, not in the wiped table.
   client_.disconnect();
-  cancel_pending_acquires();
+  reset_view(std::nullopt);
   release_everything("resync");
-  balance_timer_.cancel();
-  view_.reset();
-  view_tag_ = ViewTag{};
-  table_.clear();
-  received_.clear();
-  info_.clear();
   enter_state(WamState::kIdle);
   if (!client_.connect(gcs_)) {
     // The local GCS died between audit and resync: fall back to the
     // standard reconnect loop (on_disconnect-equivalent state).
-    reconnect_timer_.cancel();
-    reconnect_timer_ = sched_.schedule(config_.reconnect_interval,
-                                       [this] { reconnect_tick(); });
+    schedule_reconnect();
     return;
   }
   client_.join(config_.group);
@@ -1154,43 +1052,39 @@ void Daemon::resync_tick() {
 
 // ------------------------------- chaos backdoors (corruption injection) ----
 
+bool Daemon::chaos_armed() const {
+  // Out of IDLE means a view is installed (only on_membership leaves IDLE).
+  return running_ && client_.connected() && state_ != WamState::kIdle;
+}
+
 bool Daemon::chaos_corrupt_vip_owner(int index) {
-  if (!running_ || !client_.connected() || state_ == WamState::kIdle ||
-      config_pos_.empty()) {
-    return false;
-  }
+  if (!chaos_armed() || config_pos_.empty()) return false;
   auto pos = config_pos_[static_cast<std::size_t>(index) % config_pos_.size()];
   // An identity no view ever contained: trips the checksum, the index
   // agreement AND the owner-not-in-view check.
   gcs::MemberId bogus{net::Ipv4Address(10, 0, 254, 254), 0xC0DE, "bogus"};
-  table_.chaos_set_owner_unchecked(groups_.ids[pos], bogus);
+  pv_.table.chaos_set_owner_unchecked(groups_.ids[pos], bogus);
   log_.warn("chaos: corrupted owner of %s", groups_.names[pos].c_str());
   return true;
 }
 
 bool Daemon::chaos_corrupt_index(int index) {
-  if (!running_ || !client_.connected() || state_ == WamState::kIdle ||
-      config_pos_.empty()) {
-    return false;
-  }
+  if (!chaos_armed() || config_pos_.empty()) return false;
   auto pos = config_pos_[static_cast<std::size_t>(index) % config_pos_.size()];
   gcs::MemberId phantom{net::Ipv4Address(10, 0, 254, 253), 0xBEEF, "phantom"};
-  table_.chaos_corrupt_index_entry(groups_.ids[pos], phantom);
+  pv_.table.chaos_corrupt_index_entry(groups_.ids[pos], phantom);
   log_.warn("chaos: desynced member index for %s", groups_.names[pos].c_str());
   return true;
 }
 
 bool Daemon::chaos_corrupt_view_tag() {
-  if (!running_ || !client_.connected() || state_ == WamState::kIdle ||
-      !view_) {
-    return false;
-  }
-  view_tag_.group_seq ^= 0x40;  // single bit flip: the classic soft error
-  log_.warn("chaos: flipped view tag to %s", view_tag_.to_string().c_str());
+  if (!chaos_armed()) return false;
+  pv_.tag.group_seq ^= 0x40;  // single bit flip: the classic soft error
+  log_.warn("chaos: flipped view tag to %s", pv_.tag.to_string().c_str());
   // A flip landing on a still-unhealed earlier flip cancels it: the tag is
   // correct again and there is nothing any detector could ever find.
   // Report not-applied so the oracle records no detection obligation.
-  if (view_tag_ == ViewTag::of(*view_)) {
+  if (pv_.tag == ViewTag::of(*pv_.view)) {
     log_.warn("chaos: double flip restored the view tag — no corruption");
     return false;
   }

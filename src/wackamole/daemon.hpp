@@ -36,6 +36,13 @@
 // Disconnection (§4.2): losing the local GCS daemon releases every virtual
 // interface at once (correctness cannot be ensured without the GCS) and
 // starts a reconnect loop.
+//
+// Each mechanism exists once. The per-view state (view, tag, table, GATHER
+// senders, peer table) is one value that VIEW_CHANGE, disconnect, resync
+// and shutdown all reset through reset_view(). GATHER and NOTIFY share one
+// reallocate(); every BALANCE and ALLOC goes out through send_allocation().
+// Failed acquires and releases share one retry skeleton, and retries and
+// resyncs share one capped doubling.
 #pragma once
 
 #include <cstdint>
@@ -161,13 +168,13 @@ class Daemon {
   }
   [[nodiscard]] bool mature() const { return mature_; }
   [[nodiscard]] bool connected() const { return client_.connected(); }
-  [[nodiscard]] const VipTable& table() const { return table_; }
+  [[nodiscard]] const VipTable& table() const { return pv_.table; }
   [[nodiscard]] const std::optional<gcs::GroupView>& view() const {
-    return view_;
+    return pv_.view;
   }
   /// The cached tag messages are stamped/filtered with; the StateAuditor
   /// cross-checks it against ViewTag::of(*view()).
-  [[nodiscard]] const ViewTag& view_tag() const { return view_tag_; }
+  [[nodiscard]] const ViewTag& view_tag() const { return pv_.tag; }
   [[nodiscard]] std::vector<std::string> owned() const;
   /// Groups this daemon has self-fenced (NOTIFY protocol): their OS-level
   /// acquisition kept failing and a peer is expected to cover them. Sorted.
@@ -203,17 +210,30 @@ class Daemon {
   bool chaos_corrupt_view_tag();
 
  private:
+  enum class Trigger { kGather, kNotify };  // what a reallocation runs for
+  enum class OsOp { kAcquire, kRelease };   // the retried enforcement ops
+  /// Where an audit runs from; decides the heal policy (see run_audit).
+  enum class AuditPoint { kTimer, kBoundary, kPreWipe, kShutdown };
+  /// (GroupSet position, owner) pairs in ascending position, i.e. group-name
+  /// order on every member: the form every BALANCE and ALLOC is built from.
+  using Allocation = std::vector<std::pair<std::uint32_t, gcs::MemberId>>;
+
   void on_membership(const gcs::GroupView& gv);
   void on_message(const gcs::GroupMessage& gm);
   void on_disconnect();
+  /// Reset the per-view state as one unit to `next` (nullopt: no view),
+  /// cancelling the balance timer and pending acquire retries with it.
+  void reset_view(std::optional<gcs::GroupView> next, bool keep_peers = false);
   void handle_state_msg(const gcs::MemberId& sender, const StateMsgV2& m);
   void handle_balance_msg(const BalanceMsgV2& m);
   void handle_notify(const gcs::MemberId& sender, const NotifyMsg& m);
   void finish_gather();
+  /// Run Reallocate_IPs() over the current holes and act on the result:
+  /// deterministically everywhere, or via the representative's ALLOC.
+  void reallocate(Trigger trigger);
   void send_state_msg();
-  /// Multicast `table` as a BALANCE (or ALLOC) message in group-name order.
-  /// Returns the number of entries sent.
-  std::size_t multicast_allocation(const VipTable& table, bool alloc);
+  /// Multicast `allocation` as a BALANCE (or, with `alloc`, an ALLOC).
+  void send_allocation(const Allocation& allocation, bool alloc);
   void send_notify(const std::string& group, bool fenced,
                    const std::string& reason);
   // The enforcement calls below take GroupSet positions; the group's name
@@ -226,36 +246,32 @@ class Daemon {
   /// Delay before the n-th retry (n = failed attempts so far): exponential
   /// from Config::acquire_backoff, capped, with multiplicative jitter.
   [[nodiscard]] sim::Duration backoff_delay(int failed_attempts);
-  void schedule_acquire_retry(std::uint32_t pos, const OsOpResult& result);
-  void acquire_retry_tick(std::uint32_t pos);
-  void schedule_release_retry(std::uint32_t pos);
-  void release_retry_tick(std::uint32_t pos);
+  /// Count a failed `op` on `pos` and retry it after backoff_delay(); an
+  /// acquire whose budget is spent fences the group instead.
+  void retry(OsOp op, std::uint32_t pos, const OsOpResult& result);
+  void retry_tick(OsOp op, std::uint32_t pos);
+  void forget_retry(OsOp op, std::uint32_t pos);
   void fence_group(std::uint32_t pos, const std::string& reason);
   void arm_cooldown(const std::string& name);
   void cooldown_tick(const std::string& name);
-  /// Run Reallocate_IPs() over the current holes and act on the result
-  /// (deterministically everywhere, or via ALLOC from the representative).
-  void reallocate_holes(const char* mode);
-  void cancel_pending_acquires();
   [[nodiscard]] std::vector<MemberState> member_states() const;
-  void arm_balance_timer();
+  /// (Re)schedule `tick` after `interval`; a zero interval disables it.
+  void arm(sim::TimerHandle& timer, sim::Duration interval,
+           void (Daemon::*tick)());
   void balance_tick();
   bool run_balance();
-  void arm_maturity_timer();
   void maturity_tick();
-  void arm_arp_share_timer();
   void arp_share_tick();
-  void arm_announce_timer();
   void announce_tick();
+  void schedule_reconnect();
   void reconnect_tick();
   // ---- Self-stabilization: audit / heal / resync ----
-  /// Where an audit runs from; decides the heal policy (see run_audit).
-  enum class AuditPoint { kTimer, kBoundary, kPreWipe, kShutdown };
-  void arm_audit_timer();
+  static const char* audit_point_name(AuditPoint point);
   void audit_tick();
   void run_audit(AuditPoint point);
   void schedule_resync(const std::string& why);
   void resync_tick();
+  [[nodiscard]] bool chaos_armed() const;  // the backdoors' shared guard
   void become_mature(const char* how);
   /// Switch the Figure-2 state machine, publishing a StateTransition event.
   void enter_state(WamState next);
@@ -274,9 +290,6 @@ class Daemon {
   sim::TimePoint state_since_{};
   bool mature_ = false;
 
-  std::optional<gcs::GroupView> view_;
-  ViewTag view_tag_;
-  VipTable table_;
   /// The configured VIP set in dense positional form (built once — the
   /// group list is fixed for the daemon's lifetime). All protocol-layer
   /// work runs on interned ids/positions; names reappear only in logs,
@@ -285,14 +298,22 @@ class Daemon {
   std::vector<const VipGroup*> group_at_;  // GroupSet position -> group
   std::vector<std::uint32_t> config_pos_;  // vip_groups order -> position
   std::vector<GroupId> preferred_ids_;     // config_.preferred order
-  std::set<gcs::MemberId> received_;    // STATE_MSG senders this GATHER
   struct PeerInfo {
     bool mature = false;
     int weight = 1;
     std::set<GroupId> preferred;
     std::set<GroupId> quarantined;  // learned via NOTIFY / STATE_MSG
   };
-  std::map<gcs::MemberId, PeerInfo> info_;
+  /// Everything one installed view owns, reset as a unit by reset_view()
+  /// (like gcs::Daemon::PerView).
+  struct PerView {
+    std::optional<gcs::GroupView> view;
+    ViewTag tag;     // stamped on and checked against every message
+    VipTable table;  // current_table
+    std::set<gcs::MemberId> received;  // STATE_MSG senders this GATHER
+    std::map<gcs::MemberId, PeerInfo> info;
+  };
+  PerView pv_;
 
   /// Per-group OS-op retry state (acquire and release paths), keyed by
   /// GroupSet position.
@@ -302,6 +323,9 @@ class Daemon {
   };
   std::map<std::uint32_t, PendingOp> pending_acquires_;
   std::map<std::uint32_t, PendingOp> pending_releases_;
+  std::map<std::uint32_t, PendingOp>& pending(OsOp op) {
+    return op == OsOp::kAcquire ? pending_acquires_ : pending_releases_;
+  }
   // Cold fencing state stays name-keyed: the name order of quarantined_
   // is the order STATE_MSG carries it in.
   std::set<std::string> quarantined_;  // groups we self-fenced

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "apps/cluster_scenario.hpp"
 #include "wackamole/daemon.hpp"
@@ -225,6 +227,57 @@ TEST(SelfHeal, RepeatedCorruptionKeepsHealing) {
   s.run(sim::seconds(6.0));  // let the last quarantine cool down
   EXPECT_TRUE(s.coverage_exactly_once(s.all_servers()));
   EXPECT_GE(s.wam(0).counters().corruptions_detected.value(), 3u);
+}
+
+TEST(SelfHeal, ResyncBackoffDoublesToTheCapAndResetsAfterAQuietCap) {
+  apps::ClusterScenario s(audited_cluster());
+  s.start();
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(10.0)));
+  auto& w = s.wam(2);
+
+  // Corrupt s3's view tag once it is back in RUN, and return the delay from
+  // the first detection to the resync that heals it.
+  auto corrupt_and_time_resync = [&]() -> double {
+    auto deadline = s.sched.now() + sim::seconds(10.0);
+    while (w.state() != WamState::kRun && s.sched.now() < deadline) {
+      s.run(sim::milliseconds(10));
+    }
+    const auto t0 = s.sched.now();
+    if (!s.stale_incarnation(2)) return -1.0;
+    const auto resyncs = w.counters().resyncs.value();
+    while (w.counters().resyncs.value() == resyncs &&
+           s.sched.now() < t0 + sim::seconds(10.0)) {
+      s.run(sim::milliseconds(10));
+    }
+    std::optional<sim::TimePoint> detected;
+    for (const auto& e : s.timeline.events()) {
+      if (e.time < t0 || e.source != w.obs_scope()) continue;
+      if (!detected && e.type == obs::EventType::kCorruptionDetected) {
+        detected = e.time;
+      }
+      const auto* action = e.field("action");
+      if (detected && e.type == obs::EventType::kSelfHeal && action &&
+          *action == "resync") {
+        return sim::to_millis(e.time - *detected);
+      }
+    }
+    return -1.0;
+  };
+
+  // Back to back (each corruption lands well within a cap period of the
+  // last resync): the delay doubles from resync_delay up to the cap.
+  std::vector<double> delays;
+  for (int round = 0; round < 5; ++round) {
+    delays.push_back(corrupt_and_time_resync());
+  }
+  EXPECT_EQ(delays, (std::vector<double>{500.0, 1000.0, 2000.0, 4000.0,
+                                         4000.0}));
+
+  // Quiet for more than a cap period: a clean timer sweep resets the
+  // backoff, and the next corruption gets the base delay again.
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(20.0)));
+  s.run(sim::seconds(5.0));
+  EXPECT_EQ(corrupt_and_time_resync(), 500.0);
 }
 
 TEST(SelfHeal, AuditsOffByDefaultKeepsHistoricalDeterminism) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wam_fixture.hpp"
+
 namespace wam::wackamole {
 namespace {
 
@@ -24,11 +26,18 @@ VirtualInterfaces {
 }
 )";
 
+/// Whether a daemon running `config` is mature right after start().
+bool started_mature(const Config& config) {
+  testing::WamCluster cluster(1, config);
+  cluster.start_wam();
+  return cluster.wams[0]->mature();
+}
+
 TEST(ConfParser, FullConfig) {
   auto c = parse_config(kFull);
   EXPECT_EQ(c.group, "wack1");
   EXPECT_EQ(sim::to_seconds(c.maturity_timeout), 30.0);
-  EXPECT_FALSE(c.start_mature);
+  EXPECT_FALSE(started_mature(c));
   EXPECT_EQ(sim::to_seconds(c.balance_timeout), 60.0);
   EXPECT_EQ(sim::to_seconds(c.reconnect_interval), 2.0);
   EXPECT_EQ(sim::to_seconds(c.arp_share_interval), 10.0);
@@ -51,7 +60,8 @@ TEST(ConfParser, MinimalConfig) {
 TEST(ConfParser, MatureZeroMeansStartMature) {
   auto c = parse_config(
       "Mature = 0s\nVirtualInterfaces {\n{ if0: 10.0.0.1 }\n}\n");
-  EXPECT_TRUE(c.start_mature);
+  EXPECT_EQ(c.maturity_timeout, sim::kZero);
+  EXPECT_TRUE(started_mature(c));
 }
 
 TEST(ConfParser, PreferNoneIsEmpty) {

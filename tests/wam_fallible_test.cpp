@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/cluster_scenario.hpp"
+#include "wackamole/wire.hpp"
 #include "wam_fixture.hpp"
 
 namespace wam::testing {
@@ -154,6 +155,104 @@ TEST(WamFallible, QuarantineSticksWhileProbeKeepsFailing) {
       c, [&] { return !c.wams[0]->quarantined("10.0.0.100"); },
       sim::seconds(20.0)));
   EXPECT_EQ(c.wams[0]->counters().groups_unfenced.value(), 1u);
+}
+
+// Bring up two daemons where s1 holds both groups of fallible_config(2) (it
+// starts alone and claims everything; s2's join leaves no hole), script
+// `failures` failed results into s1's manager, then run one balance round,
+// which moves one group to s2. Returns the moved group once s1 has tried
+// to release it (within 1 ms); that release is the first scripted op.
+std::string balance_one_group_away(WamCluster& c, int failures) {
+  c.start_all();
+  c.wams[0]->start();
+  c.run(sim::seconds(5.0));
+  c.wams[1]->start();
+  c.run(sim::seconds(3.0));
+  EXPECT_EQ(c.wams[0]->owned().size(), 2u);
+  c.ipmgrs[0]->clear_ops();
+  for (int i = 0; i < failures; ++i) {
+    c.ipmgrs[0]->push_result(OsOpResult::failed("ebusy"));
+  }
+  EXPECT_TRUE(c.wams[0]->trigger_balance() || c.wams[1]->trigger_balance());
+  auto deadline = c.sched.now() + sim::seconds(1.0);
+  while (c.ipmgrs[0]->ops().empty() && c.sched.now() < deadline) {
+    c.run(sim::milliseconds(1));
+  }
+  if (c.ipmgrs[0]->ops().empty()) return "";
+  // "release <name> [failed]" -> "<name>"
+  const auto& op = c.ipmgrs[0]->ops().front();
+  const auto start = op.find(' ') + 1;
+  return op.substr(start, op.find(' ', start) - start);
+}
+
+TEST(WamFallible, FailedReleaseRetriesOnTheAcquireBackoff) {
+  WamCluster c(2, fallible_config(2));
+  auto& mgr = *c.ipmgrs[0];
+  const auto moved = balance_one_group_away(c, 2);
+  ASSERT_FALSE(moved.empty());
+  auto t1 = c.sched.now();  // the failed release, within the last 1 ms step
+
+  // Step in 1 ms ticks until the op count reaches `n`, returning the time.
+  auto when_ops = [&](std::size_t n) {
+    auto deadline = c.sched.now() + sim::seconds(1.0);
+    while (mgr.ops().size() < n && c.sched.now() < deadline) {
+      c.run(sim::milliseconds(1));
+    }
+    EXPECT_GE(mgr.ops().size(), n) << "timed out waiting for op " << n;
+    return c.sched.now();
+  };
+  auto t2 = when_ops(2);  // retry #1 fails again
+  auto t3 = when_ops(3);  // retry #2: the unbind sticks
+
+  // A failed release never gives up and uses the acquire backoff: base,
+  // then 2*base (jitter disabled; +- the 1 ms stepping granularity).
+  EXPECT_NEAR(sim::to_millis(t2 - t1), 100.0, 2.0);
+  EXPECT_NEAR(sim::to_millis(t3 - t2), 200.0, 2.0);
+  const auto failed = "release " + moved + " [failed]";
+  EXPECT_EQ(mgr.ops(), (std::vector<std::string>{failed, failed,
+                                                 "release " + moved}));
+  EXPECT_EQ(c.wams[0]->counters().release_retries.value(), 2u);
+  c.run(sim::seconds(1.0));
+  EXPECT_EQ(mgr.ops().size(), 3u) << "no retry after the release stuck";
+  EXPECT_EQ(c.holders(moved, {0, 1}), 1);
+  EXPECT_TRUE(c.ipmgrs[1]->holds(wackamole::intern_group(moved)));
+}
+
+TEST(WamFallible, ReleaseRetryStopsWhenTheGroupIsReassignedBack) {
+  WamCluster c(2, fallible_config(2));
+  auto& mgr = *c.ipmgrs[0];
+  const auto moved = balance_one_group_away(c, 1);
+  ASSERT_FALSE(moved.empty());
+  ASSERT_EQ(c.wams[0]->counters().release_retries.value(), 1u);
+
+  // Within the 100 ms backoff, a BALANCE hands every group back to s1.
+  auto self = c.wams[0]->self();
+  ASSERT_TRUE(self.has_value());
+  wackamole::BalanceMsgV2 msg;
+  msg.view = wackamole::ViewTag::of(*c.wams[0]->view());
+  for (const auto& name : c.wams[0]->config().group_names()) {
+    msg.allocation.emplace_back(
+        wackamole::intern_group(name),
+        std::make_pair(self->daemon.value(), self->client));
+  }
+  gcs::Client injector("injector", gcs::ClientCallbacks{});
+  ASSERT_TRUE(injector.connect(*c.daemons[0]));
+  const auto applied = c.wams[0]->counters().balance_applied.value();
+  injector.multicast(c.wams[0]->config().group,
+                     wackamole::encode_balance_v2(msg));
+  c.run(sim::milliseconds(50));
+  ASSERT_EQ(c.wams[0]->counters().balance_applied.value(), applied + 1)
+      << "the hand-back must land before the retry fires";
+
+  // The retry finds the group assigned to s1 again and stops: no second
+  // release attempt, and s1 keeps covering the group it failed to drop.
+  c.run(sim::seconds(2.0));
+  injector.disconnect();
+  EXPECT_EQ(mgr.ops(),
+            (std::vector<std::string>{"release " + moved + " [failed]"}));
+  EXPECT_EQ(c.wams[0]->counters().release_retries.value(), 1u);
+  EXPECT_TRUE(mgr.holds(wackamole::intern_group(moved)));
+  EXPECT_EQ(c.holders(moved, {0, 1}), 1);
 }
 
 TEST(WamFallible, StickyFaultEndToEndMigratesAndRejoins) {

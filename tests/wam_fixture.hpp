@@ -72,7 +72,6 @@ inline wackamole::Config test_config(int vips = 6) {
         net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(100 + k)));
   }
   auto c = wackamole::Config::web_cluster(addrs);
-  c.start_mature = true;
   c.maturity_timeout = sim::kZero;
   c.balance_timeout = sim::kZero;  // tests arm balance explicitly
   return c;

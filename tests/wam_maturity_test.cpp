@@ -9,7 +9,6 @@ namespace {
 
 wackamole::Config immature_config(int vips, double maturity_seconds) {
   auto c = test_config(vips);
-  c.start_mature = false;
   c.maturity_timeout = sim::seconds(maturity_seconds);
   return c;
 }
@@ -93,7 +92,6 @@ TEST(WamMaturity, BalanceMaturesAndLoadsTheJoiner) {
 
 TEST(WamMaturity, ZeroTimeoutMeansImmediatelyMature) {
   auto cfg = test_config(4);
-  cfg.start_mature = false;
   cfg.maturity_timeout = sim::kZero;
   WamCluster c(1, cfg);
   c.start_wam();

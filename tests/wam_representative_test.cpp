@@ -3,6 +3,11 @@
 // match the distributed mode's invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "obs/events.hpp"
+#include "obs/observability.hpp"
+#include "wackamole/wire.hpp"
 #include "wam_fixture.hpp"
 
 namespace wam::testing {
@@ -89,6 +94,150 @@ TEST(WamRepresentative, SameFinalAllocationAsDistributedMode) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(rep.wams[static_cast<std::size_t>(i)]->owned().size(),
               dist.wams[static_cast<std::size_t>(i)]->owned().size());
+  }
+}
+
+/// A WamCluster whose daemons publish into one event timeline ("wam/s<N>").
+struct ObservedCluster : WamCluster {
+  obs::Observability obs;
+  obs::EventTimeline timeline{obs.bus};
+
+  ObservedCluster(int n, wackamole::Config config) : WamCluster(n, config) {
+    for (int i = 0; i < n; ++i) {
+      wams[static_cast<std::size_t>(i)]->bind_observability(
+          obs, "wam/s" + std::to_string(i + 1));
+    }
+  }
+
+  /// kReallocation events from time `since` on, as "source mode" strings.
+  std::vector<std::string> reallocations_since(sim::TimePoint since) const {
+    std::vector<std::string> out;
+    for (const auto& e : timeline.events()) {
+      if (e.time < since || e.type != obs::EventType::kReallocation) continue;
+      out.push_back(e.source + " " + *e.field("mode"));
+    }
+    return out;
+  }
+
+  /// Multicast `payload` into the wackamole group from a non-member client.
+  void inject(util::Bytes payload) {
+    gcs::Client injector("injector", gcs::ClientCallbacks{});
+    ASSERT_TRUE(injector.connect(*daemons[0]));
+    injector.multicast(wams[0]->config().group, std::move(payload));
+    run(sim::seconds(1.0));
+    injector.disconnect();
+  }
+};
+
+TEST(WamRepresentative, NotifyFenceIsReallocatedByTheRepresentativeAlone) {
+  auto config = rep_config(2);
+  config.backoff_jitter = 0.0;
+  config.quarantine_cooldown = sim::seconds(60.0);  // stays fenced here
+  ObservedCluster c(3, config);
+  // s1 starts alone and claims both groups; the joiners find no hole, and
+  // one balance round moves one group to a joiner.
+  c.start_all();
+  c.wams[0]->start();
+  c.run(sim::seconds(5.0));
+  c.wams[1]->start();
+  c.wams[2]->start();
+  c.run(sim::seconds(3.0));
+  ASSERT_TRUE(c.wams[0]->is_representative());
+  ASSERT_TRUE(c.wams[0]->trigger_balance());
+  c.run(sim::seconds(1.0));
+  c.expect_correctness({0, 1, 2}, "settled");
+  ASSERT_EQ(c.wams[0]->owned().size(), 1u);
+  const std::size_t holder = c.wams[1]->owned().empty() ? 2 : 1;
+  const std::size_t empty = 3 - holder;
+  ASSERT_EQ(c.wams[holder]->owned().size(), 1u);
+  ASSERT_TRUE(c.wams[empty]->owned().empty());
+  const auto group = c.wams[holder]->owned().front();
+  const auto rep_before = c.wams[0]->counters().reallocations.value();
+
+  // The holder leaves: the representative hands its group to the empty
+  // member (the least loaded), whose enforcement layer fails the whole
+  // retry budget. It fences the group and broadcasts NOTIFY; only the
+  // representative reallocates, and the group lands on s1.
+  for (int i = 0; i < config.acquire_retry_limit; ++i) {
+    c.ipmgrs[empty]->push_result(wackamole::OsOpResult::failed("ebusy"));
+  }
+  const auto t0 = c.sched.now();
+  c.wams[holder]->graceful_shutdown();
+  c.run(sim::seconds(5.0));
+
+  EXPECT_TRUE(c.wams[empty]->quarantined(group));
+  EXPECT_EQ(c.wams[empty]->counters().groups_fenced.value(), 1u);
+  EXPECT_EQ(c.reallocations_since(t0),
+            (std::vector<std::string>{"wam/s1 representative",
+                                      "wam/s1 notify"}));
+  EXPECT_EQ(c.wams[0]->counters().reallocations.value(), rep_before + 2);
+  EXPECT_EQ(c.wams[empty]->counters().reallocations.value(), 0u);
+  EXPECT_TRUE(c.ipmgrs[0]->holds(wackamole::intern_group(group)));
+  c.expect_correctness({0, static_cast<int>(empty)},
+                       "after the NOTIFY reallocation");
+}
+
+TEST(WamRepresentative, GatherAlwaysCountsAReallocationAnEmptyNotifyNone) {
+  for (bool representative : {true, false}) {
+    SCOPED_TRACE(representative ? "representative" : "deterministic");
+    auto config = test_config(2);
+    config.representative_driven = representative;
+    ObservedCluster c(3, config);
+    c.start_all();
+    c.wams[0]->start();
+    c.wams[1]->start();
+    c.run(sim::seconds(5.0));
+    c.expect_correctness({0, 1}, "settled");
+    std::vector<std::uint64_t> before;
+    for (auto& w : c.wams) {
+      before.push_back(w->counters().reallocations.value());
+    }
+
+    // s3 joins: its GATHER finds every group covered (zero holes) and still
+    // counts one reallocation per decider.
+    auto t0 = c.sched.now();
+    c.wams[2]->start();
+    c.run(sim::seconds(3.0));
+    c.expect_correctness({0, 1, 2}, "after the join");
+    if (representative) {
+      EXPECT_EQ(c.reallocations_since(t0),
+                (std::vector<std::string>{"wam/s1 representative"}));
+    } else {
+      auto events = c.reallocations_since(t0);
+      std::sort(events.begin(), events.end());
+      EXPECT_EQ(events, (std::vector<std::string>{"wam/s1 deterministic",
+                                                  "wam/s2 deterministic",
+                                                  "wam/s3 deterministic"}));
+    }
+    for (int i = 0; i < 3; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      EXPECT_EQ(c.wams[idx]->counters().reallocations.value(),
+                before[idx] + (representative && i > 0 ? 0u : 1u))
+          << "server " << i;
+    }
+
+    // A NOTIFY fencing a group its sender does not own opens no hole: the
+    // NOTIFY pass counts nothing anywhere.
+    wackamole::NotifyMsg notify;
+    notify.view = wackamole::ViewTag::of(*c.wams[0]->view());
+    notify.group = c.wams[0]->config().group_names().front();
+    notify.fenced = true;
+    notify.reason = "ebusy";
+    std::vector<std::uint64_t> after_join;
+    for (auto& w : c.wams) {
+      after_join.push_back(w->counters().reallocations.value());
+    }
+    t0 = c.sched.now();
+    c.inject(wackamole::encode_notify(notify));
+    for (int i = 0; i < 3; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      EXPECT_EQ(c.wams[idx]->counters().notifies_received.value(), 1u)
+          << "server " << i;
+      EXPECT_EQ(c.wams[idx]->counters().reallocations.value(), after_join[idx])
+          << "server " << i;
+    }
+    EXPECT_TRUE(c.reallocations_since(t0).empty());
+    c.expect_correctness({0, 1, 2}, "after the NOTIFY");
   }
 }
 

@@ -18,7 +18,6 @@ wackamole::Config cluster_config(const std::string& group, int base_octet,
   }
   auto c = wackamole::Config::web_cluster(addrs);
   c.group = group;
-  c.start_mature = true;
   c.maturity_timeout = sim::kZero;
   c.balance_timeout = sim::kZero;
   return c;

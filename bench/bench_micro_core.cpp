@@ -14,6 +14,7 @@
 #include "apps/echo.hpp"
 #include "gcs/message.hpp"
 #include "net/fabric.hpp"
+#include "net/frame.hpp"
 #include "net/host.hpp"
 #include "sim/scheduler.hpp"
 #include "util/shared_bytes.hpp"
@@ -215,6 +216,25 @@ void BM_ArpCacheLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArpCacheLookup);
+
+// The frame every UDP send builds: IPv4 header, UDP header and payload in
+// one pass into one exactly-sized block. The payload has the size of an
+// echo reply: a length-prefixed six-character hostname and an 8-byte
+// request id.
+constexpr std::size_t kEchoReplySize = 4 + 6 + 8;
+
+void BM_UdpFrameEncode(benchmark::State& state) {
+  const util::Bytes payload(kEchoReplySize, 0x42);
+  const net::Ipv4Address src(10, 0, 0, 1);
+  const net::Ipv4Address dst(10, 0, 1, 7);
+  for (auto _ : state) {
+    auto frame = net::encode_udp_ipv4(src, dst, 9000, 32000, payload);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UdpFrameEncode);
 
 // End-to-end: one UDP request/response round trip through the simulated
 // stack (ARP resolved once up front).

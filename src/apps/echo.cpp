@@ -10,12 +10,12 @@ void EchoServer::start() {
         ++served_;
         // Reply format: length-prefixed hostname, then the request payload
         // echoed back (lets clients correlate replies with requests).
-        util::ByteWriter w;
+        util::ByteWriter w(4 + host_.name().size() + request.size());
         w.str(host_.name());
         w.raw(request);
         // Answer from the address the request hit (often a VIP).
         host_.send_udp_from(ctx.dst_ip, ctx.src_ip, ctx.src_port,
-                            ctx.dst_port, w.take());
+                            ctx.dst_port, w.data());
       });
 }
 

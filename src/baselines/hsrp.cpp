@@ -59,7 +59,7 @@ void HsrpRouter::hello_tick() {
   if (!running_) return;
   // Hellos are sent from the speaking states (Standby and Active).
   if (state_ == HsrpState::kStandby || state_ == HsrpState::kActive) {
-    util::ByteWriter w;
+    util::ByteWriter w(1 + 1 + 1 + 4);
     w.u8(config_.group);
     w.u8(static_cast<std::uint8_t>(state_));
     w.u8(config_.priority);

@@ -79,7 +79,7 @@ void VrrpRouter::become_backup() {
 
 void VrrpRouter::send_advertisement() {
   if (!running_ || state_ != VrrpState::kMaster) return;
-  util::ByteWriter w;
+  util::ByteWriter w(2);
   w.u8(config_.vrid);
   w.u8(config_.priority);
   host_.send_udp_broadcast(config_.ifindex, config_.port, config_.port,

@@ -142,8 +142,8 @@ void LoadGenerator::tick() {
 
   // 4. One batched injection for everything this tick produced.
   if (!burst_.empty()) {
-    host_.send_udp_burst(std::move(burst_));
-    burst_.clear();
+    host_.send_udp_burst(burst_);
+    burst_.clear();  // keeps the capacity for the next tick
   }
 
   ++tick_index_;
@@ -203,7 +203,7 @@ void LoadGenerator::queue_request(std::uint32_t slot, std::uint8_t attempt,
   out_.push_back({first_sent, now, slot, attempt, false});
   if (attempt == 0) stats_.on_offered(now);
 
-  util::ByteWriter w;
+  util::ByteWriter w(8);
   w.u64(id);
   net::Host::UdpSend send;
   send.dst = opt_.vips[flows_[slot].vip];
@@ -217,7 +217,7 @@ void LoadGenerator::on_reply(const util::SharedBytes& payload) {
   std::uint64_t id = 0;
   try {
     util::ByteReader r(payload);
-    (void)r.str();  // responding server's hostname
+    r.skip(r.u32());  // responding server's hostname
     id = r.u64();
   } catch (const util::DecodeError&) {
     return;  // not an echo reply to one of ours

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "sim/shard.hpp"
 #include "util/assert.hpp"
@@ -367,7 +368,7 @@ void Fabric::send(NicId from, Frame frame) {
   });
 }
 
-void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
+void Fabric::send_batch(NicId from, std::vector<Frame>&& frames) {
   if (frames.empty()) return;
   auto& c = ctrs(from);
   if (!nic(from).up) {
@@ -377,39 +378,61 @@ void Fabric::send_batch(NicId from, std::vector<Frame> frames) {
 
   // Phase 1 routes each frame as send() does (same counter bumps, same
   // RNG draws in the same order) but records the computed arrival instead
-  // of scheduling an event.
+  // of scheduling an event. Shard threads send concurrently, so the list
+  // is per thread; it keeps its capacity from one batch to the next.
   struct Pending {
+    NicId to;
     sim::TimePoint when;
     std::uint32_t order;  // draw order; stands in for the scheduler seq
     std::uint32_t frame;
   };
-  std::map<NicId, std::vector<Pending>> deliveries;
+  thread_local std::vector<Pending> pending;
+  pending.clear();
   std::uint32_t order = 0;
   for (std::uint32_t fi = 0; fi < frames.size(); ++fi) {
     route(from, frames[fi], c, [&](const Segment& seg, NicId to) {
-      deliveries[to].push_back(Pending{arrival(seg, from), order++, fi});
+      pending.push_back(Pending{to, arrival(seg, from), order++, fi});
     });
   }
+  std::sort(pending.begin(), pending.end(),
+            [](const Pending& a, const Pending& b) {
+              if (a.to != b.to) return a.to < b.to;
+              if (a.when != b.when) return a.when < b.when;
+              return a.order < b.order;
+            });
 
-  // Phase 2: one event per receiver at its batch's LAST arrival, handing
-  // frames over in (arrival, draw order) — the (time, seq) order the
-  // scheduler would have delivered the per-frame events in. The event runs
-  // on the receiver's shard; deliver_now re-checks liveness per frame,
-  // since the receiver may go down from within an earlier frame's handler,
-  // exactly as it could between two unbatched delivery events.
-  for (auto& [to, list] : deliveries) {
-    std::sort(list.begin(), list.end(),
-              [](const Pending& a, const Pending& b) {
-                if (a.when != b.when) return a.when < b.when;
-                return a.order < b.order;
-              });
-    std::vector<Frame> batch;
-    batch.reserve(list.size());
-    for (const Pending& p : list) batch.push_back(frames[p.frame]);
-    schedule_delivery(from, to, list.back().when,
-                      [this, to, batch = std::move(batch)]() mutable {
-                        for (Frame& f : batch) deliver_now(to, std::move(f));
-                      });
+  // Phase 2, in ascending receiver order: one event per receiver at its
+  // batch's LAST arrival, handing frames over in (arrival, draw order) —
+  // the (time, seq) order the scheduler would have delivered the
+  // per-frame events in. The event runs on the receiver's shard;
+  // deliver_now re-checks liveness per frame, since the receiver may go
+  // down from within an earlier frame's handler, exactly as it could
+  // between two unbatched delivery events. A unicast frame has one
+  // receiver and is moved; a group frame is shared by reference count.
+  auto take = [&frames](const Pending& p) {
+    Frame& f = frames[p.frame];
+    return f.dst.is_group() ? Frame(f) : std::move(f);
+  };
+  for (std::size_t lo = 0; lo < pending.size();) {
+    const NicId to = pending[lo].to;
+    std::size_t hi = lo + 1;
+    while (hi < pending.size() && pending[hi].to == to) ++hi;
+    const sim::TimePoint when = pending[hi - 1].when;
+    if (hi - lo == 1) {  // send()'s single-frame event: no batch vector
+      schedule_delivery(from, to, when,
+                        [this, to, frame = take(pending[lo])]() mutable {
+                          deliver_now(to, std::move(frame));
+                        });
+    } else {
+      std::vector<Frame> batch;
+      batch.reserve(hi - lo);
+      for (std::size_t i = lo; i < hi; ++i) batch.push_back(take(pending[i]));
+      schedule_delivery(from, to, when,
+                        [this, to, batch = std::move(batch)]() mutable {
+                          for (Frame& f : batch) deliver_now(to, std::move(f));
+                        });
+    }
+    lo = hi;
   }
 }
 

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -140,8 +139,9 @@ class Fabric {
   /// byte-identical order to the unbatched path. Only the timestamps
   /// coarsen: a receiver's whole batch lands at the LATEST of its frames'
   /// computed arrival times (never earlier than unbatched, and at most
-  /// one jitter span later).
-  void send_batch(NicId from, std::vector<Frame> frames);
+  /// one jitter span later). The frames are moved out of `frames`; the
+  /// vector itself, and its capacity, stay with the caller.
+  void send_batch(NicId from, std::vector<Frame>&& frames);
 
   /// ARP probe: would anyone else answer a who-has for `ip` sent from
   /// `asking`? Honours the same reachability rules as delivery — the

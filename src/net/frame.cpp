@@ -2,6 +2,29 @@
 
 namespace wam::net {
 
+namespace {
+
+constexpr std::size_t kArpSize = 2 + 6 + 4 + 6 + 4;
+
+void write_ipv4_header(util::SpanWriter& w, Ipv4Address src, Ipv4Address dst,
+                       std::uint8_t ttl, std::uint8_t protocol,
+                       std::size_t payload_size) {
+  w.u32(src.value());
+  w.u32(dst.value());
+  w.u8(ttl);
+  w.u8(protocol);
+  w.u32(static_cast<std::uint32_t>(payload_size));
+}
+
+void write_udp_header(util::SpanWriter& w, std::uint16_t src_port,
+                      std::uint16_t dst_port, std::size_t payload_size) {
+  w.u16(src_port);
+  w.u16(dst_port);
+  w.u32(static_cast<std::uint32_t>(payload_size));
+}
+
+}  // namespace
+
 std::string Frame::describe() const {
   std::string kind = type == EtherType::kArp ? "ARP" : "IPv4";
   return kind + " " + src.to_string() + " -> " + dst.to_string() + " (" +
@@ -9,7 +32,7 @@ std::string Frame::describe() const {
 }
 
 util::Bytes ArpPacket::encode() const {
-  util::ByteWriter w;
+  util::ByteWriter w(kArpSize);
   w.u16(static_cast<std::uint16_t>(op));
   w.raw(sender_mac.octets());
   w.u32(sender_ip.value());
@@ -47,14 +70,12 @@ std::string ArpPacket::describe() const {
          (is_gratuitous() ? " (gratuitous)" : "");
 }
 
-util::Bytes Ipv4Packet::encode() const {
-  util::ByteWriter w;
-  w.u32(src.value());
-  w.u32(dst.value());
-  w.u8(ttl);
-  w.u8(protocol);
-  w.bytes(payload);
-  return w.take();
+util::SharedBytes Ipv4Packet::encode() const {
+  return util::SharedBytes::build(
+      kHeaderSize + payload.size(), [this](util::SpanWriter& w) {
+        write_ipv4_header(w, src, dst, ttl, protocol, payload.size());
+        w.raw(payload);
+      });
 }
 
 Ipv4Packet Ipv4Packet::decode(const util::SharedBytes& buf) {
@@ -69,12 +90,12 @@ Ipv4Packet Ipv4Packet::decode(const util::SharedBytes& buf) {
   return p;
 }
 
-util::Bytes UdpDatagram::encode() const {
-  util::ByteWriter w;
-  w.u16(src_port);
-  w.u16(dst_port);
-  w.bytes(payload);
-  return w.take();
+util::SharedBytes UdpDatagram::encode() const {
+  return util::SharedBytes::build(
+      kHeaderSize + payload.size(), [this](util::SpanWriter& w) {
+        write_udp_header(w, src_port, dst_port, payload.size());
+        w.raw(payload);
+      });
 }
 
 UdpDatagram UdpDatagram::decode(const util::SharedBytes& buf) {
@@ -85,6 +106,19 @@ UdpDatagram UdpDatagram::decode(const util::SharedBytes& buf) {
   d.payload = r.shared_bytes();  // zero-copy slice of the packet buffer
   r.expect_end();
   return d;
+}
+
+util::SharedBytes encode_udp_ipv4(Ipv4Address src, Ipv4Address dst,
+                                  std::uint16_t src_port,
+                                  std::uint16_t dst_port,
+                                  util::ByteView payload) {
+  const std::size_t udp_size = UdpDatagram::kHeaderSize + payload.size();
+  return util::SharedBytes::build(
+      Ipv4Packet::kHeaderSize + udp_size, [&](util::SpanWriter& w) {
+        write_ipv4_header(w, src, dst, kDefaultTtl, kProtoUdp, udp_size);
+        write_udp_header(w, src_port, dst_port, payload.size());
+        w.raw(payload);
+      });
 }
 
 }  // namespace wam::net

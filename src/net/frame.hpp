@@ -9,9 +9,12 @@
 // Copying a Frame — which the fabric does once per receiver on broadcast
 // and multicast — bumps a reference count instead of deep-copying the
 // bytes, and the IPv4/UDP decoders return their nested payloads as
-// zero-copy slices of the enclosing frame's buffer.
+// zero-copy slices of the enclosing frame's buffer. A UDP send builds its
+// frame bytes once, in one pass, into one exactly-sized block
+// (encode_udp_ipv4).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -56,29 +59,45 @@ struct ArpPacket {
 };
 
 constexpr std::uint8_t kProtoUdp = 17;
+constexpr std::uint8_t kDefaultTtl = 64;
 
 /// Minimal IPv4 header + payload.
 struct Ipv4Packet {
+  /// src, dst, ttl, protocol and the u32 payload length.
+  static constexpr std::size_t kHeaderSize = 14;
+
   Ipv4Address src;
   Ipv4Address dst;
-  std::uint8_t ttl = 64;
+  std::uint8_t ttl = kDefaultTtl;
   std::uint8_t protocol = kProtoUdp;
   util::SharedBytes payload;
 
-  [[nodiscard]] util::Bytes encode() const;
+  [[nodiscard]] util::SharedBytes encode() const;
   /// The decoded payload is a zero-copy slice of `buf`'s storage.
   static Ipv4Packet decode(const util::SharedBytes& buf);
 };
 
 /// UDP datagram carried inside an Ipv4Packet payload.
 struct UdpDatagram {
+  /// Both ports and the u32 payload length.
+  static constexpr std::size_t kHeaderSize = 8;
+
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   util::SharedBytes payload;
 
-  [[nodiscard]] util::Bytes encode() const;
+  [[nodiscard]] util::SharedBytes encode() const;
   /// The decoded payload is a zero-copy slice of `buf`'s storage.
   static UdpDatagram decode(const util::SharedBytes& buf);
 };
+
+/// The bytes of Ipv4Packet{src, dst, kDefaultTtl, kProtoUdp,
+/// UdpDatagram{src_port, dst_port, payload}.encode()}.encode(), written in
+/// one pass into one exactly-sized block: the encoder every UDP send uses.
+[[nodiscard]] util::SharedBytes encode_udp_ipv4(Ipv4Address src,
+                                                Ipv4Address dst,
+                                                std::uint16_t src_port,
+                                                std::uint16_t dst_port,
+                                                util::ByteView payload);
 
 }  // namespace wam::net

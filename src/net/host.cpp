@@ -1,6 +1,7 @@
 #include "net/host.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -210,8 +211,8 @@ void Host::flush_pending(Ipv4Address resolved_ip) {
   auto pending = std::move(it->second);
   pending.timer.cancel();
   pending_arp_.erase(it);
-  for (auto& pkt : pending.queue) {
-    transmit_ip(std::move(pkt), pending.ifindex, resolved_ip);
+  for (auto& packet : pending.queue) {
+    transmit_ip(std::move(packet), pending.ifindex, resolved_ip);
   }
 }
 
@@ -248,18 +249,18 @@ std::pair<int, Ipv4Address> Host::route(Ipv4Address dst) const {
   return {-1, Ipv4Address{}};
 }
 
-void Host::transmit_ip(Ipv4Packet pkt, int ifindex, Ipv4Address next_hop) {
+void Host::transmit_ip(util::SharedBytes packet, int ifindex,
+                       Ipv4Address next_hop) {
   const auto& ifc = iface(ifindex);
-  if (pkt.dst.is_broadcast()) {
-    Frame f{mac(ifindex), MacAddress::broadcast(), EtherType::kIpv4,
-            pkt.encode()};
-    fabric_.send(ifc.nic, std::move(f));
+  if (next_hop.is_broadcast()) {
+    fabric_.send(ifc.nic, Frame{mac(ifindex), MacAddress::broadcast(),
+                                EtherType::kIpv4, std::move(packet)});
     return;
   }
   auto hop_mac = arp_.lookup(next_hop, sched_.now());
   if (hop_mac) {
-    Frame f{mac(ifindex), *hop_mac, EtherType::kIpv4, pkt.encode()};
-    fabric_.send(ifc.nic, std::move(f));
+    fabric_.send(ifc.nic, Frame{mac(ifindex), *hop_mac, EtherType::kIpv4,
+                                std::move(packet)});
     return;
   }
   // Queue behind an ARP resolution.
@@ -272,7 +273,7 @@ void Host::transmit_ip(Ipv4Packet pkt, int ifindex, Ipv4Address next_hop) {
                                     [this, next_hop] { arp_retry(next_hop); });
   }
   if (pending.queue.size() < arp_queue_cap) {
-    pending.queue.push_back(std::move(pkt));
+    pending.queue.push_back(std::move(packet));
   }
 }
 
@@ -308,7 +309,7 @@ void Host::forward(Ipv4Packet pkt) {
     return;
   }
   ++counters_.ip_forwarded;
-  transmit_ip(std::move(pkt), ifindex, next_hop);
+  transmit_ip(pkt.encode(), ifindex, next_hop);
 }
 
 void Host::deliver_udp(const Ipv4Packet& pkt, int ifindex) {
@@ -332,6 +333,12 @@ void Host::deliver_udp(const Ipv4Packet& pkt, int ifindex) {
   handler(ctx, dgram.payload);
 }
 
+void Host::loop_back(util::SharedBytes packet, int ifindex) {
+  sched_.schedule(sim::kZero, [this, packet = std::move(packet), ifindex] {
+    deliver_udp(Ipv4Packet::decode(packet), ifindex);
+  });
+}
+
 // ---------------------------------------------------------------- UDP ----
 
 bool Host::open_udp(std::uint16_t port, UdpHandler handler) {
@@ -342,31 +349,22 @@ bool Host::open_udp(std::uint16_t port, UdpHandler handler) {
 void Host::close_udp(std::uint16_t port) { sockets_.erase(port); }
 
 void Host::send_udp(Ipv4Address dst, std::uint16_t dst_port,
-                    std::uint16_t src_port, util::Bytes payload) {
+                    std::uint16_t src_port, const util::Bytes& payload) {
   auto [ifindex, next_hop] = route(dst);
   if (ifindex < 0) {
     ++counters_.ip_no_route;
     return;
   }
-  send_udp_from(primary_ip(ifindex), dst, dst_port, src_port,
-                std::move(payload));
+  send_udp_from(primary_ip(ifindex), dst, dst_port, src_port, payload);
 }
 
 void Host::send_udp_from(Ipv4Address src_ip, Ipv4Address dst,
                          std::uint16_t dst_port, std::uint16_t src_port,
-                         util::Bytes payload) {
+                         const util::Bytes& payload) {
   if (owns_ip(dst)) {
-    // Loopback: deliver on the next scheduler round, like a kernel would.
-    UdpDatagram dgram{src_port, dst_port, std::move(payload)};
-    Ipv4Packet pkt;
-    pkt.src = src_ip;
-    pkt.dst = dst;
-    pkt.payload = dgram.encode();
     ++counters_.udp_sent;
-    int ifindex = std::max(ifindex_of_ip(dst), 0);
-    sched_.schedule(sim::kZero, [this, pkt = std::move(pkt), ifindex] {
-      deliver_udp(pkt, ifindex);
-    });
+    loop_back(encode_udp_ipv4(src_ip, dst, src_port, dst_port, payload),
+              std::max(ifindex_of_ip(dst), 0));
     return;
   }
   auto [ifindex, next_hop] = route(dst);
@@ -374,47 +372,36 @@ void Host::send_udp_from(Ipv4Address src_ip, Ipv4Address dst,
     ++counters_.ip_no_route;
     return;
   }
-  UdpDatagram dgram{src_port, dst_port, std::move(payload)};
-  Ipv4Packet pkt;
-  pkt.src = src_ip;
-  pkt.dst = dst;
-  pkt.payload = dgram.encode();
   ++counters_.udp_sent;
-  transmit_ip(std::move(pkt), ifindex, next_hop);
+  transmit_ip(encode_udp_ipv4(src_ip, dst, src_port, dst_port, payload),
+              ifindex, dst.is_broadcast() ? dst : next_hop);
 }
 
-void Host::send_udp_burst(std::vector<UdpSend> batch) {
-  std::vector<std::vector<Frame>> per_if(ifaces_.size());
-  for (auto& item : batch) {
+void Host::send_udp_burst(std::span<const UdpSend> batch) {
+  burst_frames_.resize(ifaces_.size());
+  const sim::TimePoint now = sched_.now();
+  for (const auto& item : batch) {
     auto [ifindex, next_hop] = route(item.dst);
-    if (ifindex < 0) {
-      ++counters_.ip_no_route;
-      continue;
+    std::optional<MacAddress> hop_mac;
+    if (ifindex >= 0 && !owns_ip(item.dst)) {
+      hop_mac = arp_.lookup(next_hop, now);
     }
-    if (owns_ip(item.dst)) {
-      send_udp_from(primary_ip(ifindex), item.dst, item.dst_port,
-                    item.src_port, std::move(item.payload));
-      continue;
-    }
-    UdpDatagram dgram{item.src_port, item.dst_port, std::move(item.payload)};
-    Ipv4Packet pkt;
-    pkt.src = primary_ip(ifindex);
-    pkt.dst = item.dst;
-    pkt.payload = dgram.encode();
-    ++counters_.udp_sent;
-    auto hop_mac = arp_.lookup(next_hop, sched_.now());
     if (!hop_mac) {
-      // Unresolved next hop: take the regular pending-ARP queue path.
-      transmit_ip(std::move(pkt), ifindex, next_hop);
+      // Unroutable, loopback or unresolved next hop: the per-datagram path.
+      send_udp(item.dst, item.dst_port, item.src_port, item.payload);
       continue;
     }
-    per_if[static_cast<std::size_t>(ifindex)].push_back(
-        Frame{mac(ifindex), *hop_mac, EtherType::kIpv4, pkt.encode()});
+    ++counters_.udp_sent;
+    burst_frames_[static_cast<std::size_t>(ifindex)].push_back(
+        Frame{mac(ifindex), *hop_mac, EtherType::kIpv4,
+              encode_udp_ipv4(primary_ip(ifindex), item.dst, item.src_port,
+                              item.dst_port, item.payload)});
   }
-  for (std::size_t i = 0; i < per_if.size(); ++i) {
-    if (!per_if[i].empty()) {
-      fabric_.send_batch(ifaces_[i].nic, std::move(per_if[i]));
-    }
+  for (std::size_t i = 0; i < burst_frames_.size(); ++i) {
+    auto& frames = burst_frames_[i];
+    if (frames.empty()) continue;
+    fabric_.send_batch(ifaces_[i].nic, std::move(frames));
+    frames.clear();  // send_batch moved the frames out, not the capacity
   }
 }
 
@@ -439,34 +426,27 @@ bool Host::in_multicast_group(int ifindex, Ipv4Address group) const {
 
 void Host::send_udp_multicast(int ifindex, Ipv4Address group,
                               std::uint16_t dst_port, std::uint16_t src_port,
-                              util::Bytes payload) {
+                              const util::Bytes& payload) {
   WAM_EXPECTS(group.is_multicast());
-  UdpDatagram dgram{src_port, dst_port, std::move(payload)};
-  Ipv4Packet pkt;
-  pkt.src = primary_ip(ifindex);
-  pkt.dst = group;
-  pkt.payload = dgram.encode();
+  auto packet =
+      encode_udp_ipv4(primary_ip(ifindex), group, src_port, dst_port, payload);
   ++counters_.udp_sent;
-  Frame f{mac(ifindex), MacAddress::multicast_for(group), EtherType::kIpv4,
-          pkt.encode()};
-  fabric_.send(iface(ifindex).nic, std::move(f));
+  fabric_.send(iface(ifindex).nic, Frame{mac(ifindex),
+                                         MacAddress::multicast_for(group),
+                                         EtherType::kIpv4, packet});
   // Multicast loops back to local members of the group.
   if (in_multicast_group(ifindex, group)) {
-    sched_.schedule(sim::kZero, [this, pkt = std::move(pkt), ifindex] {
-      deliver_udp(pkt, ifindex);
-    });
+    loop_back(std::move(packet), ifindex);
   }
 }
 
 void Host::send_udp_broadcast(int ifindex, std::uint16_t dst_port,
-                              std::uint16_t src_port, util::Bytes payload) {
-  UdpDatagram dgram{src_port, dst_port, std::move(payload)};
-  Ipv4Packet pkt;
-  pkt.src = primary_ip(ifindex);
-  pkt.dst = Ipv4Address::broadcast();
-  pkt.payload = dgram.encode();
+                              std::uint16_t src_port,
+                              const util::Bytes& payload) {
   ++counters_.udp_sent;
-  transmit_ip(std::move(pkt), ifindex, Ipv4Address::broadcast());
+  transmit_ip(encode_udp_ipv4(primary_ip(ifindex), Ipv4Address::broadcast(),
+                              src_port, dst_port, payload),
+              ifindex, Ipv4Address::broadcast());
 }
 
 // -------------------------------------------------------------- faults ----

@@ -17,6 +17,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,15 +119,17 @@ class Host {
   /// Returns false if the port is already bound.
   bool open_udp(std::uint16_t port, UdpHandler handler);
   void close_udp(std::uint16_t port);
+  // Every UDP send copies `payload` once, into the frame's single block
+  // (net::encode_udp_ipv4); the caller keeps its buffer.
   void send_udp(Ipv4Address dst, std::uint16_t dst_port,
-                std::uint16_t src_port, util::Bytes payload);
+                std::uint16_t src_port, const util::Bytes& payload);
   /// Respond "from" a specific local address (e.g. the VIP a request hit).
   void send_udp_from(Ipv4Address src_ip, Ipv4Address dst,
                      std::uint16_t dst_port, std::uint16_t src_port,
-                     util::Bytes payload);
+                     const util::Bytes& payload);
   /// Limited broadcast on one interface (255.255.255.255).
   void send_udp_broadcast(int ifindex, std::uint16_t dst_port,
-                          std::uint16_t src_port, util::Bytes payload);
+                          std::uint16_t src_port, const util::Bytes& payload);
 
   /// One datagram of a send_udp_burst() batch.
   struct UdpSend {
@@ -142,7 +145,7 @@ class Host {
   /// yet in the ARP cache, loopback destinations, and unroutable
   /// destinations fall back to the exact per-datagram path send_udp()
   /// takes, so counters and ARP behavior are unchanged.
-  void send_udp_burst(std::vector<UdpSend> batch);
+  void send_udp_burst(std::span<const UdpSend> batch);
 
   // ---- IP multicast ----
   /// Subscribe this interface to a 224.0.0.0/4 group (IGMP-less model:
@@ -153,7 +156,7 @@ class Host {
   /// Send a datagram to a multicast group via one interface.
   void send_udp_multicast(int ifindex, Ipv4Address group,
                           std::uint16_t dst_port, std::uint16_t src_port,
-                          util::Bytes payload);
+                          const util::Bytes& payload);
 
   // ---- Fault injection ----
   void set_interface_up(int ifindex, bool up);
@@ -195,7 +198,7 @@ class Host {
   };
   struct PendingArp {
     int ifindex = 0;
-    std::vector<Ipv4Packet> queue;
+    std::vector<util::SharedBytes> queue;  // encoded IPv4 packets
     int retries = 0;
     sim::TimerHandle timer;
   };
@@ -204,10 +207,17 @@ class Host {
   void handle_arp(const Frame& frame, int ifindex);
   void handle_ipv4(const Frame& frame, int ifindex);
   void deliver_udp(const Ipv4Packet& pkt, int ifindex);
+  /// Hand an encoded IPv4 packet to this host's own stack on the next
+  /// scheduler round, like a kernel's loopback.
+  void loop_back(util::SharedBytes packet, int ifindex);
   void forward(Ipv4Packet pkt);
   /// Pick (ifindex, next_hop) for dst; ifindex -1 when unroutable.
   [[nodiscard]] std::pair<int, Ipv4Address> route(Ipv4Address dst) const;
-  void transmit_ip(Ipv4Packet pkt, int ifindex, Ipv4Address next_hop);
+  /// Frame an encoded IPv4 packet to `next_hop`: the broadcast MAC for
+  /// 255.255.255.255, otherwise the cached MAC, else queue it behind an
+  /// ARP resolution.
+  void transmit_ip(util::SharedBytes packet, int ifindex,
+                   Ipv4Address next_hop);
   void send_arp_request(int ifindex, Ipv4Address target);
   void arp_retry(Ipv4Address next_hop);
   void flush_pending(Ipv4Address resolved_ip);
@@ -226,6 +236,9 @@ class Host {
   Ipv4Address default_gateway_;
   std::vector<std::pair<Ipv4Network, Ipv4Address>> static_routes_;
   HostCounters counters_;
+  /// send_udp_burst's per-interface frame lists, kept between bursts so
+  /// their capacity is reused.
+  std::vector<std::vector<Frame>> burst_frames_;
 };
 
 }  // namespace wam::net

@@ -7,20 +7,6 @@ namespace wam::util {
 ByteReader::ByteReader(const SharedBytes& buf)
     : buf_(buf.span()), backing_(&buf) {}
 
-void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
 void ByteWriter::u64(std::uint64_t v) {
   u32(static_cast<std::uint32_t>(v >> 32));
   u32(static_cast<std::uint32_t>(v));

@@ -5,15 +5,20 @@
 // frames independent of host endianness. ByteWriter appends to an internal
 // vector; ByteReader consumes a non-owning span and throws DecodeError on
 // truncated input, so malformed frames surface as exceptions rather than UB.
+// SpanWriter is ByteWriter's fixed-size twin: it fills a buffer whose exact
+// size the encoder computed up front (SharedBytes::build).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace wam::util {
 
@@ -50,9 +55,17 @@ class ByteWriter {
 
   void reserve(std::size_t capacity) { buf_.reserve(capacity); }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
+  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u16(std::uint16_t v) {
+    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+  void u32(std::uint32_t v) {
+    buf_.push_back(static_cast<std::uint8_t>(v >> 24));
+    buf_.push_back(static_cast<std::uint8_t>(v >> 16));
+    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
   void boolean(bool v);
@@ -73,6 +86,45 @@ class ByteWriter {
 
  private:
   Bytes buf_;
+};
+
+/// Big-endian encoder into a caller-owned buffer of fixed size. Writing
+/// past the end throws ContractViolation instead of overrunning it.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::uint8_t> out) : out_(out) {}
+
+  void u8(std::uint8_t v) { *take(1) = v; }
+  void u16(std::uint16_t v) {
+    auto* p = take(2);
+    p[0] = static_cast<std::uint8_t>(v >> 8);
+    p[1] = static_cast<std::uint8_t>(v);
+  }
+  void u32(std::uint32_t v) {
+    auto* p = take(4);
+    p[0] = static_cast<std::uint8_t>(v >> 24);
+    p[1] = static_cast<std::uint8_t>(v >> 16);
+    p[2] = static_cast<std::uint8_t>(v >> 8);
+    p[3] = static_cast<std::uint8_t>(v);
+  }
+  /// Raw bytes, no length prefix.
+  void raw(std::span<const std::uint8_t> v) {
+    if (!v.empty()) std::memcpy(take(v.size()), v.data(), v.size());
+  }
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const { return pos_; }
+
+ private:
+  std::uint8_t* take(std::size_t n) {
+    WAM_ASSERT(n <= out_.size() - pos_);
+    std::uint8_t* p = out_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+
+  std::span<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
 /// Consuming big-endian decoder over a borrowed buffer.
@@ -104,6 +156,11 @@ class ByteReader {
   [[nodiscard]] SharedBytes shared_bytes();
   /// Exactly n raw bytes as a SharedBytes (zero-copy when backed).
   [[nodiscard]] SharedBytes shared_raw(std::size_t n);
+  /// Step over n bytes without reading them.
+  void skip(std::size_t n) {
+    need(n);
+    pos_ += n;
+  }
 
   [[nodiscard]] std::size_t remaining() const { return buf_.size() - pos_; }
   [[nodiscard]] bool at_end() const { return remaining() == 0; }

@@ -7,6 +7,10 @@
 // buffer, and lets the IPv4/UDP decoders return their nested payloads as
 // views into the frame instead of fresh vectors.
 //
+// The storage is either a wrapped util::Bytes (moved in, never copied) or
+// one block from build(): the refcount and exactly n bytes in a single
+// allocation, which is how the send path builds every frame.
+//
 // Aliasing rule (the "write" half of copy-on-write): the viewed bytes are
 // immutable for the lifetime of every view. A writer that wants to modify
 // a payload must detach first — `to_bytes()` produces a private deep copy
@@ -22,7 +26,9 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "util/assert.hpp"
 #include "util/bytes.hpp"
 
 namespace wam::util {
@@ -32,18 +38,35 @@ class SharedBytes {
   SharedBytes() = default;
 
   /// Wrap a buffer, taking ownership (move in to avoid the copy).
-  SharedBytes(Bytes b)  // NOLINT(google-explicit-constructor)
-      : storage_(std::make_shared<const Bytes>(std::move(b))) {
-    data_ = storage_->data();
-    size_ = storage_->size();
+  SharedBytes(Bytes b) {  // NOLINT(google-explicit-constructor)
+    auto owner = std::make_shared<const Bytes>(std::move(b));
+    data_ = owner->data();
+    size_ = owner->size();
+    storage_ = std::move(owner);
   }
 
   SharedBytes(std::initializer_list<std::uint8_t> init)
-      : SharedBytes(Bytes(init)) {}
+      : SharedBytes(copy_of({init.begin(), init.size()})) {}
+
+  /// One allocation holding the refcount and exactly `n` bytes, written by
+  /// `fill(SpanWriter&)`. Throws ContractViolation unless `fill` writes
+  /// exactly `n` bytes (writing past the end throws before it overruns).
+  template <class Fill>
+  static SharedBytes build(std::size_t n, Fill&& fill) {
+    auto block = std::make_shared_for_overwrite<std::uint8_t[]>(n);
+    SpanWriter w({block.get(), n});
+    std::forward<Fill>(fill)(w);
+    WAM_ENSURES(w.size() == n);
+    SharedBytes out;
+    out.data_ = block.get();
+    out.size_ = n;
+    out.storage_ = std::move(block);
+    return out;
+  }
 
   /// Deep-copy a borrowed span into fresh shared storage.
   static SharedBytes copy_of(std::span<const std::uint8_t> v) {
-    return SharedBytes(Bytes(v.begin(), v.end()));
+    return build(v.size(), [v](SpanWriter& w) { w.raw(v); });
   }
 
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
@@ -107,7 +130,7 @@ class SharedBytes {
   }
 
  private:
-  std::shared_ptr<const Bytes> storage_;
+  std::shared_ptr<const void> storage_;  // a Bytes or a build() block
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -43,7 +43,7 @@ void UdpServiceCheck::run() {
   if (awaiting_) reply_seen_ = false;
   awaiting_ = true;
   ++seq_;
-  util::ByteWriter w;
+  util::ByteWriter w(1 + 1 + 4);
   w.u8('h');
   w.u8('c');
   w.u32(seq_);

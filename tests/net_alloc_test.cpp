@@ -1,0 +1,122 @@
+// Exact heap-allocation counts on the UDP send path.
+//
+// This executable replaces the global operator new/delete with counting
+// versions, so every allocation the library makes between two reads of the
+// counter is seen. A request/echo round trip in steady state (ARP
+// resolved, sockets open, scheduler slab and per-burst containers warm)
+// costs four allocations: the caller's request payload and its frame block,
+// then the echo server's reply payload and its frame block. Counts are
+// exact functions of the code, so a slide shows here long before it shows
+// in wall time.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "apps/echo.hpp"
+#include "net/fabric.hpp"
+#include "net/host.hpp"
+#include "sim/scheduler.hpp"
+#include "util/assert.hpp"
+#include "util/shared_bytes.hpp"
+
+namespace {
+std::size_t g_allocations = 0;  // the tests are single-threaded
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace wam::net {
+namespace {
+
+constexpr int kRoundTrips = 200;
+constexpr std::size_t kAllocsPerRoundTrip = 4;
+
+TEST(SharedBytesAlloc, BuildMakesExactlyOneAllocation) {
+  const util::Bytes src{1, 2, 3, 4, 5, 6, 7, 8};
+  const std::size_t before = g_allocations;
+  auto block = util::SharedBytes::build(
+      src.size(), [&src](util::SpanWriter& w) { w.raw(src); });
+  EXPECT_EQ(g_allocations - before, 1u);
+  EXPECT_EQ(block, src);
+}
+
+TEST(SharedBytesAlloc, BuildRejectsAFillOfTheWrongSize) {
+  EXPECT_THROW((void)util::SharedBytes::build(
+                   4, [](util::SpanWriter& w) { w.u16(7); }),
+               util::ContractViolation);
+  EXPECT_THROW((void)util::SharedBytes::build(
+                   1, [](util::SpanWriter& w) { w.u16(7); }),
+               util::ContractViolation);
+}
+
+/// One client and one echo server on a LAN, warmed up so that ARP is
+/// resolved and every reusable container has its capacity.
+struct EchoLan {
+  sim::Scheduler sched;
+  Fabric fabric{sched};
+  SegmentId seg = fabric.add_segment();
+  Host server{sched, fabric, "server"};
+  Host client{sched, fabric, "client"};
+  apps::EchoServer echo{server};
+  std::uint64_t replies = 0;
+  std::vector<Host::UdpSend> batch;
+
+  EchoLan() {
+    server.add_interface(seg, Ipv4Address(10, 0, 0, 1), 24);
+    client.add_interface(seg, Ipv4Address(10, 0, 0, 2), 24);
+    echo.start();
+    client.open_udp(5000, [this](const Host::UdpContext&,
+                                 const util::SharedBytes& payload) {
+      if (payload.size() == 4 + 6 + 8) ++replies;  // "server" + request
+    });
+    batch.reserve(1);
+    for (int i = 0; i < 4; ++i) {
+      via_send_udp();
+      via_burst();
+    }
+    replies = 0;
+  }
+
+  void via_send_udp() {
+    client.send_udp(server.primary_ip(0), 9000, 5000,
+                    util::Bytes{1, 2, 3, 4, 5, 6, 7, 8});
+    sched.run_all();
+  }
+
+  void via_burst() {
+    batch.push_back(Host::UdpSend{server.primary_ip(0), 9000, 5000,
+                                  util::Bytes{1, 2, 3, 4, 5, 6, 7, 8}});
+    client.send_udp_burst(batch);
+    batch.clear();
+    sched.run_all();
+  }
+};
+
+TEST(UdpSendAlloc, BurstRoundTripCostsFourAllocations) {
+  EchoLan lan;
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < kRoundTrips; ++i) lan.via_burst();
+  const std::size_t allocs = g_allocations - before;
+  EXPECT_EQ(lan.replies, static_cast<std::uint64_t>(kRoundTrips));
+  EXPECT_LE(allocs, kAllocsPerRoundTrip * kRoundTrips);
+}
+
+TEST(UdpSendAlloc, SendUdpRoundTripCostsFourAllocations) {
+  EchoLan lan;
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < kRoundTrips; ++i) lan.via_send_udp();
+  const std::size_t allocs = g_allocations - before;
+  EXPECT_EQ(lan.replies, static_cast<std::uint64_t>(kRoundTrips));
+  EXPECT_LE(allocs, kAllocsPerRoundTrip * kRoundTrips);
+}
+
+}  // namespace
+}  // namespace wam::net

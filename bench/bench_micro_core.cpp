@@ -16,6 +16,7 @@
 #include "net/fabric.hpp"
 #include "net/frame.hpp"
 #include "net/host.hpp"
+#include "sim/log.hpp"
 #include "sim/scheduler.hpp"
 #include "util/shared_bytes.hpp"
 #include "wackamole/balance.hpp"
@@ -165,7 +166,9 @@ void BM_StateEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_StateEncode)->Arg(256)->Arg(1024)->Arg(4096);
 
-// Decode side: interns each table name once and reads varint indices.
+// Decode side. The bytes repeat, as one STATE_MSG multicast does at
+// every receiver, so after the first iteration this measures the decode
+// memo's hit: a byte compare of the name table plus the varint lists.
 void BM_StateDecode(benchmark::State& state) {
   WireFixture fx(static_cast<int>(state.range(0)));
   wackamole::StateMsgV2 m;
@@ -184,6 +187,52 @@ void BM_StateDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateDecode)->Arg(256)->Arg(1024)->Arg(4096);
+
+// Cold decode: cycles through more distinct name tables than the decode
+// memo holds, so every decode misses it, resolves each name through the
+// per-thread name cache (all names are interned already) and stores the
+// table, evicting the oldest.
+void BM_StateDecodeCold(benchmark::State& state) {
+  constexpr int kBodies = 48;  // > the memo's 32 entries
+  WireFixture fx(static_cast<int>(state.range(0)));
+  std::vector<util::Bytes> bodies;
+  for (int b = 0; b < kBodies; ++b) {
+    wackamole::StateMsgV2 m;
+    m.view = wackamole::ViewTag{42, 0x0a000001, 7};
+    m.mature = true;
+    m.owned = fx.owned_ids;
+    // One distinct name per body makes each name table distinct.
+    m.owned.push_back(
+        wackamole::intern_group("cold-decode-body-" + std::to_string(b)));
+    m.preferred = fx.preferred_ids;
+    bodies.push_back(wackamole::encode_state_v2(m));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    auto decoded = wackamole::decode_state_v2(bodies[next]);
+    benchmark::DoNotOptimize(decoded);
+    next = (next + 1) % bodies.size();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StateDecodeCold)->Arg(256)->Arg(1024)->Arg(4096);
+
+// One log record as a host writes it per VIP ("alias + %s on if%d"):
+// level check, argument capture into a reused ring slot, no formatting.
+void BM_LogRecord(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::Log log(sched);
+  sim::Logger logger(&log, "net/s1");
+  const net::Ipv4Address ip(10, 0, 0, 100);
+  for (int i = 0; i < 70000; ++i) logger.debug("alias + %s on if%d", ip, 0);
+  int ifindex = 0;
+  for (auto _ : state) {
+    logger.debug("alias + %s on if%d", ip, ifindex);
+    benchmark::ClobberMemory();
+    ifindex ^= 1;
+  }
+}
+BENCHMARK(BM_LogRecord);
 
 void BM_GcsDataCodec(benchmark::State& state) {
   gcs::DataMessage d;

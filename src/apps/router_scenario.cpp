@@ -39,9 +39,9 @@ RouterScenario::RouterScenario(RouterScenarioOptions options)
   db_seg_ = fabric.add_segment();
 
   // The indivisible VIP group: the router's identity on all three networks.
-  wackamole::VipGroup group;
-  group.name = "virtual-router";
-  group.addresses = {{external_vip(), 0}, {web_vip(), 1}, {db_vip(), 2}};
+  const wackamole::VipGroup group(
+      "virtual-router",
+      {{external_vip(), 0}, {web_vip(), 1}, {db_vip(), 2}});
 
   for (int i = 0; i < options_.num_routers; ++i) {
     auto r = std::make_unique<net::Host>(sched, fabric,

@@ -94,7 +94,7 @@ void Daemon::start() {
   heartbeat_timer_ = host_.scheduler().schedule(
       config_.heartbeat_timeout, [this] { heartbeat_tick(); });
   arm_audit_timer();
-  log_.info("daemon %s starting", id_.to_string().c_str());
+  log_.info("daemon %s starting", id_);
   enter_discovery("startup");
 }
 
@@ -121,7 +121,7 @@ void Daemon::stop() {
   for (auto& [cid, client] : clients) {
     if (client.callbacks.on_disconnect) client.callbacks.on_disconnect();
   }
-  log_.info("daemon %s stopped", id_.to_string().c_str());
+  log_.info("daemon %s stopped", id_);
 }
 
 // ------------------------------------------------------------------ I/O ----
@@ -199,9 +199,8 @@ void Daemon::arm_fault_timer(DaemonId member) {
   timer = host_.scheduler().schedule(
       config_.fault_detection_timeout, [this, member] {
         if (state_ != State::kOp || !view_.contains(member)) return;
-        log_.info("fault detected: %s silent for %s",
-                  member.to_string().c_str(),
-                  sim::format_duration(config_.fault_detection_timeout).c_str());
+        log_.info("fault detected: %s silent for %s", member,
+                  config_.fault_detection_timeout);
         enter_discovery("fault detected");
       });
 }
@@ -752,7 +751,7 @@ void Daemon::discovery_deadline() {
     accepts_.clear();
     state_ = State::kAwaitInstall;
     log_.info("proposing view %s with %zu members",
-              proposal.to_string().c_str(), known_.size());
+              proposal, known_.size());
     if (known_.size() > 1) {
       broadcast(Propose{proposal, known_});
       install_deadline_timer_.cancel();
@@ -818,7 +817,7 @@ void Daemon::send_accept(const ViewId& proposal, DaemonId coordinator) {
   install_deadline_timer_ = host_.scheduler().schedule(
       config_.effective_install_timeout(), [this] { install_deadline(); });
   Accept a = make_own_accept(proposal);
-  log_.debug("accepting proposal %s", proposal.to_string().c_str());
+  log_.debug("accepting proposal %s", proposal);
   unicast(coordinator, a);
 }
 
@@ -875,7 +874,7 @@ void Daemon::maybe_finish_collect() {
   inst.group_seqs.assign(seqs.begin(), seqs.end());
 
   log_.info("installing view %s (%zu members, %zu sync msgs)",
-            inst.view.id.to_string().c_str(), inst.view.members.size(),
+            inst.view.id, inst.view.members.size(),
             inst.sync.size());
   broadcast(inst);
   install_view(inst);
@@ -997,7 +996,7 @@ void Daemon::install_view(const Install& inst) {
     if (m != id_) arm_fault_timer(m);
   }
 
-  log_.info("installed %s", view_.to_string().c_str());
+  log_.info("installed %s", view_);
   refresh_groups_after_install();
 
   // Replay data already received for this view, then resubmit whatever of
@@ -1172,7 +1171,7 @@ bool Daemon::audit_and_heal() {
   if (!f) return false;
   ++counters_.corruptions_detected;
   log_.warn("view audit: %s (%s) — restoring shadow and rediscovering",
-            view_check_name(f->check), f->detail.c_str());
+            view_check_name(f->check), f->detail);
   if (obs_ != nullptr) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kCorruptionDetected,
                obs_scope_,

@@ -169,7 +169,7 @@ Fabric::Nic& Fabric::nic(NicId id) {
 void Fabric::set_nic_up(NicId id, bool up) {
   auto& n = nic(id);
   if (n.up != up) {
-    log_.debug("nic %d (%s) %s", id, n.mac.to_string().c_str(),
+    log_.debug("nic %d (%s) %s", id, n.mac,
                up ? "up" : "down");
   }
   n.up = up;

@@ -20,6 +20,7 @@ Host::Host(sim::Scheduler& sched, Fabric& fabric, std::string name,
 
 int Host::add_interface(SegmentId segment, Ipv4Address primary,
                         int prefix_len) {
+  WAM_EXPECTS(interface_count() < AddressIndex::kMaxInterfaces);
   Interface ifc;
   ifc.segment = segment;
   ifc.primary = primary;
@@ -32,10 +33,10 @@ int Host::add_interface(SegmentId segment, Ipv4Address primary,
   // Answer peers' duplicate-address probes: we "defend" every address we
   // currently own on this interface, primary and aliases alike.
   fabric_.set_address_probe(ifc.nic, [this, ifindex](Ipv4Address ip) {
-    const auto& i = ifaces_[static_cast<std::size_t>(ifindex)];
-    return i.primary == ip || i.aliases.count(ip) > 0;
+    return owns_on(ifindex, ip);
   });
   ifaces_.push_back(std::move(ifc));
+  addresses_.add_primary(primary, ifindex);
   return ifindex;
 }
 
@@ -61,28 +62,31 @@ NicId Host::nic_id(int ifindex) const { return iface(ifindex).nic; }
 Ipv4Network Host::network(int ifindex) const { return iface(ifindex).net; }
 
 void Host::add_alias(int ifindex, Ipv4Address ip) {
-  iface(ifindex).aliases.insert(ip);
-  log_.debug("alias + %s on if%d", ip.to_string().c_str(), ifindex);
+  WAM_EXPECTS(ifindex >= 0 && ifindex < interface_count());
+  addresses_.add_alias(ip, ifindex);
+  log_.debug("alias + %s on if%d", ip, ifindex);
 }
 
 void Host::remove_alias(int ifindex, Ipv4Address ip) {
-  iface(ifindex).aliases.erase(ip);
-  log_.debug("alias - %s on if%d", ip.to_string().c_str(), ifindex);
+  WAM_EXPECTS(ifindex >= 0 && ifindex < interface_count());
+  addresses_.remove_alias(ip, ifindex);
+  log_.debug("alias - %s on if%d", ip, ifindex);
 }
 
 bool Host::owns_ip(Ipv4Address ip) const { return ifindex_of_ip(ip) >= 0; }
 
 std::vector<Ipv4Address> Host::aliases(int ifindex) const {
-  const auto& a = iface(ifindex).aliases;
-  return {a.begin(), a.end()};
+  WAM_EXPECTS(ifindex >= 0 && ifindex < interface_count());
+  std::vector<Ipv4Address> out;
+  addresses_.for_each([&](Ipv4Address ip, AddressIndex::Owners owners) {
+    if (((owners.alias >> ifindex) & 1u) != 0) out.push_back(ip);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 int Host::ifindex_of_ip(Ipv4Address ip) const {
-  for (int i = 0; i < interface_count(); ++i) {
-    const auto& ifc = ifaces_[static_cast<std::size_t>(i)];
-    if (ifc.primary == ip || ifc.aliases.count(ip) > 0) return i;
-  }
-  return -1;
+  return addresses_.first_owner(ip);
 }
 
 // ---------------------------------------------------------------- ARP ----
@@ -97,7 +101,7 @@ void Host::send_gratuitous_arp(int ifindex, Ipv4Address ip) {
   arp.target_ip = ip;  // sender==target marks it gratuitous
   Frame f{mac(ifindex), MacAddress::broadcast(), EtherType::kArp, arp.encode()};
   ++counters_.arp_replies_sent;
-  log_.debug("gratuitous ARP for %s", ip.to_string().c_str());
+  log_.debug("gratuitous ARP for %s", ip);
   fabric_.send(ifc.nic, std::move(f));
 }
 
@@ -124,9 +128,8 @@ void Host::send_spoofed_reply(int ifindex, Ipv4Address claimed_ip,
   arp.target_ip = target_ip;
   Frame f{mac(ifindex), *target_mac, EtherType::kArp, arp.encode()};
   ++counters_.arp_replies_sent;
-  log_.debug("spoofed ARP reply: %s is-at %s -> %s",
-             claimed_ip.to_string().c_str(), mac(ifindex).to_string().c_str(),
-             target_ip.to_string().c_str());
+  log_.debug("spoofed ARP reply: %s is-at %s -> %s", claimed_ip,
+             mac(ifindex), target_ip);
   fabric_.send(ifc.nic, std::move(f));
 }
 
@@ -152,8 +155,7 @@ void Host::handle_arp(const Frame& frame, int ifindex) {
     return;
   }
   const auto& ifc = iface(ifindex);
-  bool for_me = arp.target_ip == ifc.primary ||
-                ifc.aliases.count(arp.target_ip) > 0;
+  bool for_me = owns_on(ifindex, arp.target_ip);
   auto now = sched_.now();
 
   if (arp.op == ArpOp::kRequest) {
@@ -195,7 +197,7 @@ void Host::arp_retry(Ipv4Address next_hop) {
   if (pending.retries >= arp_max_retries) {
     counters_.arp_resolution_failures += pending.queue.size();
     log_.debug("ARP resolution failed for %s, dropping %zu packets",
-               next_hop.to_string().c_str(), pending.queue.size());
+               next_hop, pending.queue.size());
     pending_arp_.erase(it);
     return;
   }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "net/address_index.hpp"
 #include "net/arp_cache.hpp"
 #include "net/fabric.hpp"
 #include "net/frame.hpp"
@@ -97,6 +98,7 @@ class Host {
   void add_alias(int ifindex, Ipv4Address ip);
   void remove_alias(int ifindex, Ipv4Address ip);
   [[nodiscard]] bool owns_ip(Ipv4Address ip) const;
+  /// The aliases bound on `ifindex`, ascending.
   [[nodiscard]] std::vector<Ipv4Address> aliases(int ifindex) const;
   /// Interface index owning `ip` (primary or alias), or -1.
   [[nodiscard]] int ifindex_of_ip(Ipv4Address ip) const;
@@ -193,7 +195,6 @@ class Host {
     SegmentId segment = 0;
     Ipv4Address primary;
     Ipv4Network net;
-    std::set<Ipv4Address> aliases;
     std::set<Ipv4Address> multicast_groups;
   };
   struct PendingArp {
@@ -223,12 +224,19 @@ class Host {
   void flush_pending(Ipv4Address resolved_ip);
   const Interface& iface(int ifindex) const;
   Interface& iface(int ifindex);
+  /// Whether `ifindex` holds `ip` as its primary address or an alias.
+  [[nodiscard]] bool owns_on(int ifindex, Ipv4Address ip) const {
+    return ((addresses_.find(ip).any() >> ifindex) & 1u) != 0;
+  }
 
   sim::Scheduler& sched_;
   Fabric& fabric_;
   std::string name_;
   sim::Logger log_;
   std::vector<Interface> ifaces_;
+  /// Every address every interface holds: one lookup answers owns_ip(),
+  /// ifindex_of_ip() and the per-NIC duplicate-address probe.
+  AddressIndex addresses_;
   ArpCache arp_;
   std::map<std::uint16_t, UdpHandler> sockets_;
   std::map<Ipv4Address, PendingArp> pending_arp_;

@@ -51,30 +51,62 @@ std::string Event::to_json() const {
 // ------------------------------------------------------------------ bus ----
 
 void EventBus::Subscription::reset() {
-  if (auto table = table_.lock()) table->erase(id_);
+  if (auto table = table_.lock()) table->drop(id_);
   table_.reset();
 }
 
-EventBus::EventBus()
-    : handlers_(std::make_shared<std::map<std::uint64_t, Handler>>()) {}
+void EventBus::Table::drop(std::uint64_t id) {
+  for (auto& e : entries) {
+    if (e.id == id && e.dropped_at == 0) {
+      e.dropped_at = published;
+      any_dropped = true;
+    }
+  }
+  settle();
+}
+
+void EventBus::Table::settle() {
+  if (delivering > 0 || !any_dropped) return;
+  std::erase_if(entries, [](const Entry& e) { return e.dropped_at != 0; });
+  any_dropped = false;
+}
+
+EventBus::EventBus() : handlers_(std::make_shared<Table>()) {}
 
 EventBus::Subscription EventBus::subscribe(Handler handler) {
   Subscription sub;
   sub.table_ = handlers_;
   sub.id_ = next_id_++;
-  (*handlers_)[sub.id_] = std::move(handler);
+  handlers_->entries.push_back(Table::Entry{sub.id_, std::move(handler), 0});
   return sub;
 }
 
+std::size_t EventBus::subscriber_count() const {
+  std::size_t n = 0;
+  for (const auto& e : handlers_->entries) n += e.dropped_at == 0 ? 1 : 0;
+  return n;
+}
+
 void EventBus::publish(Event event) {
-  event.seq = ++published_;
-  // Copy the handler list so handlers may (un)subscribe mid-delivery: a
-  // handler erasing its own map entry must not destroy the closure it is
-  // currently executing.
-  std::vector<Handler> snapshot;
-  snapshot.reserve(handlers_->size());
-  for (const auto& [id, h] : *handlers_) snapshot.push_back(h);
-  for (const Handler& h : snapshot) h(event);
+  Table& table = *handlers_;
+  event.seq = ++table.published;
+  // The guard erases entries dropped during delivery once the outermost
+  // delivery returns, also when a handler throws.
+  struct Delivery {
+    Table& table;
+    explicit Delivery(Table& t) : table(t) { ++table.delivering; }
+    ~Delivery() {
+      --table.delivering;
+      table.settle();
+    }
+  } delivery(table);
+  // Handlers subscribed during this delivery sit past `n` and wait for the
+  // next publish.
+  const std::size_t n = table.entries.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& e = table.entries[i];
+    if (e.dropped_at == 0 || event.seq <= e.dropped_at) e.handler(event);
+  }
 }
 
 // ------------------------------------------------------------- timeline ----

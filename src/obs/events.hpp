@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -70,6 +69,10 @@ class EventBus {
  public:
   using Handler = std::function<void(const Event&)>;
 
+ private:
+  struct Table;
+
+ public:
   /// RAII subscription token (move-only). reset() or destruction detaches
   /// the handler; safe to outlive the bus.
   class Subscription {
@@ -94,7 +97,7 @@ class EventBus {
 
    private:
     friend class EventBus;
-    std::weak_ptr<std::map<std::uint64_t, Handler>> table_;
+    std::weak_ptr<Table> table_;
     std::uint64_t id_ = 0;
   };
 
@@ -103,20 +106,43 @@ class EventBus {
   EventBus& operator=(const EventBus&) = delete;
 
   [[nodiscard]] Subscription subscribe(Handler handler);
-  /// Stamp a sequence number and deliver to every subscriber synchronously.
-  /// Handlers may subscribe/unsubscribe during delivery; changes take
-  /// effect from the next publish.
+  /// Stamp a sequence number and deliver to every subscriber synchronously,
+  /// in subscription order. Handlers may subscribe/unsubscribe during
+  /// delivery (a handler may drop itself); changes take effect from the
+  /// next publish. A handler must not destroy the bus.
   void publish(Event event);
 
-  [[nodiscard]] std::uint64_t published() const { return published_; }
-  [[nodiscard]] std::size_t subscriber_count() const {
-    return handlers_->size();
+  [[nodiscard]] std::uint64_t published() const {
+    return handlers_->published;
   }
+  [[nodiscard]] std::size_t subscriber_count() const;
 
  private:
-  std::shared_ptr<std::map<std::uint64_t, Handler>> handlers_;
+  /// The handler table. Delivery iterates it in place, by index, over the
+  /// entries present when it started. Entries live in a deque, so a
+  /// subscribe during delivery appends without moving the handler that is
+  /// running, and an unsubscribe during delivery only stamps its entry,
+  /// which the outermost delivery erases when it returns.
+  struct Table {
+    struct Entry {
+      std::uint64_t id = 0;
+      Handler handler;
+      /// Events published up to the drop, 0 while subscribed: events
+      /// published before the drop still reach the handler, later ones not.
+      std::uint64_t dropped_at = 0;
+    };
+    std::deque<Entry> entries;  // ascending id
+    std::uint64_t published = 0;
+    int delivering = 0;  // nesting depth of publish()
+    bool any_dropped = false;
+
+    void drop(std::uint64_t id);
+    /// Erase dropped entries unless a delivery is running.
+    void settle();
+  };
+
+  std::shared_ptr<Table> handlers_;
   std::uint64_t next_id_ = 1;
-  std::uint64_t published_ = 0;
 };
 
 /// Bounded recorder: keeps the most recent `capacity` events.

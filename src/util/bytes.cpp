@@ -110,14 +110,15 @@ std::string ByteReader::str() {
   return s;
 }
 
-std::string ByteReader::vstr() {
+std::string ByteReader::vstr() { return std::string(vstr_view()); }
+
+std::string_view ByteReader::vstr_view() {
   auto n = varint();
   if (n > remaining()) {
     throw DecodeError("truncated buffer: need " + std::to_string(n) +
                       " bytes, have " + std::to_string(remaining()));
   }
-  std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  std::string_view s(reinterpret_cast<const char*>(buf_.data()) + pos_, n);
   pos_ += n;
   return s;
 }

@@ -148,6 +148,9 @@ class ByteReader {
   [[nodiscard]] std::string str();
   /// Length-prefixed (varint) UTF-8 string — the compact-wire form.
   [[nodiscard]] std::string vstr();
+  /// vstr() without the copy: a view into the reader's buffer, valid as
+  /// long as that buffer is.
+  [[nodiscard]] std::string_view vstr_view();
   /// Read exactly n raw bytes (no length prefix).
   [[nodiscard]] Bytes raw(std::size_t n);
   /// Length-prefixed (u32) byte string as a SharedBytes: a zero-copy

@@ -40,8 +40,9 @@ std::pair<net::Ipv4Address, int> parse_vif(const std::string& token,
 }
 
 /// Parse one "{ if0: a.b.c.d ... }" body into a group's addresses.
-void parse_group_body(const std::string& body, VipGroup& group, int line_no,
-                      const std::string& line) {
+std::vector<std::pair<net::Ipv4Address, int>> parse_group_body(
+    const std::string& body, int line_no, const std::string& line) {
+  std::vector<std::pair<net::Ipv4Address, int>> addresses;
   std::istringstream words(body);
   std::string token;
   std::string pending;
@@ -56,10 +57,11 @@ void parse_group_body(const std::string& body, VipGroup& group, int line_no,
       pending = token;
       continue;
     }
-    group.addresses.push_back(parse_vif(token, line_no, line));
+    addresses.push_back(parse_vif(token, line_no, line));
   }
   if (!pending.empty()) fail(line_no, line, "dangling interface prefix");
-  if (group.addresses.empty()) fail(line_no, line, "empty VIP group");
+  if (addresses.empty()) fail(line_no, line, "empty VIP group");
+  return addresses;
 }
 
 }  // namespace
@@ -83,14 +85,11 @@ Config parse_config(const std::string& text) {
           close < open) {
         fail(line_no, line, "expected '[name] { ifN:addr ... }'");
       }
-      VipGroup group;
-      group.name = conf::trim(stripped.substr(0, open));
-      parse_group_body(stripped.substr(open + 1, close - open - 1), group,
-                       line_no, line);
-      if (group.name.empty()) {
-        group.name = group.addresses.front().first.to_string();
-      }
-      config.vip_groups.push_back(std::move(group));
+      auto name = conf::trim(stripped.substr(0, open));
+      auto addresses = parse_group_body(
+          stripped.substr(open + 1, close - open - 1), line_no, line);
+      if (name.empty()) name = addresses.front().first.to_string();
+      config.vip_groups.emplace_back(std::move(name), std::move(addresses));
       return;
     }
 

@@ -10,19 +10,31 @@
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/address.hpp"
 #include "sim/time.hpp"
+#include "wackamole/group_ids.hpp"
 
 namespace wam::wackamole {
 
 /// One indivisible unit of fail-over: a named set of (address, interface)
 /// pairs owned by exactly one server at a time.
 struct VipGroup {
+  VipGroup(std::string group_name,
+           std::vector<std::pair<net::Ipv4Address, int>> group_addresses = {})
+      : name(std::move(group_name)),
+        addresses(std::move(group_addresses)),
+        id(intern_group(name)) {}
+
   std::string name;
   /// (virtual address, interface index it lives on).
   std::vector<std::pair<net::Ipv4Address, int>> addresses;
+  /// intern_group(name), fixed with the name at construction: the per-VIP
+  /// enforcement paths key on it instead of re-interning the name. A group
+  /// is renamed by constructing a new one, never by assigning `name`.
+  GroupId id;
 };
 
 struct Config {

@@ -50,11 +50,11 @@ Daemon::Daemon(sim::Scheduler& sched, Config config, gcs::Daemon& gcs,
       rng_(gcs.id().value()) {
   config_.validate();
   // Names are unique (validate), so every configured name has exactly one
-  // position; the GroupSet interned them already.
+  // position.
   group_at_.resize(groups_.size());
   config_pos_.reserve(config_.vip_groups.size());
   for (const auto& g : config_.vip_groups) {
-    const auto pos = *groups_.position_of(*find_group_id(g.name));
+    const auto pos = *groups_.position_of(g.id);
     config_pos_.push_back(pos);
     group_at_[pos] = &g;
   }
@@ -179,7 +179,7 @@ void Daemon::on_membership(const gcs::GroupView& gv) {
   // obligation holds unconditionally.
   run_audit(AuditPoint::kPreWipe);
   ++counters_.view_changes;
-  log_.info("VIEW_CHANGE: %s", gv.to_string().c_str());
+  log_.info("VIEW_CHANGE: %s", gv.to_string());
   // Algorithm 1 lines 1-4 / Algorithm 2 lines 7-9: clear the table (the
   // addresses we actually hold are our "old table" knowledge), send a
   // STATE_MSG tagged with the new view, and enter GATHER.
@@ -196,7 +196,7 @@ void Daemon::on_message(const gcs::GroupMessage& gm) {
   try {
     type = peek_type(gm.payload);
   } catch (const util::DecodeError&) {
-    log_.warn("undecodable message from %s", gm.sender.to_string().c_str());
+    log_.warn("undecodable message from %s", gm.sender);
     return;
   }
   try {
@@ -226,7 +226,7 @@ void Daemon::on_message(const gcs::GroupMessage& gm) {
     }
   } catch (const util::DecodeError&) {
     log_.warn("malformed %d message from %s", static_cast<int>(type),
-              gm.sender.to_string().c_str());
+              gm.sender);
   }
   // Protocol-message boundary: state was just mutated by a handler — the
   // cheapest possible moment to notice a stray write before it propagates
@@ -335,14 +335,14 @@ void Daemon::handle_state_msg(const gcs::MemberId& sender,
     auto pos = groups_.position_of(id);
     if (!pos) {
       log_.warn("peer %s claims unknown VIP group '%s'",
-                sender.to_string().c_str(), group_name(id).c_str());
+                sender, group_name(id));
       continue;
     }
     auto result = pv_.table.claim(id, sender, *pv_.view);
     if (result.dropped && client_.connected() &&
         *result.dropped == client_.self()) {
       log_.info("conflict on %s: releasing (we precede %s in the view)",
-                groups_.names[*pos].c_str(), sender.to_string().c_str());
+                groups_.names[*pos], sender);
       release_group(*pos);
       ++counters_.conflicts_dropped;
     }
@@ -470,7 +470,7 @@ void Daemon::handle_balance_msg(const BalanceMsgV2& m) {
   for (auto pos : config_pos_) {
     if (!listed[pos]) {
       log_.warn("balance allocation omits group %s: keeping current owner",
-                groups_.names[pos].c_str());
+                groups_.names[pos]);
     }
   }
   if (client_.connected()) {
@@ -639,7 +639,7 @@ void Daemon::acquire_group(std::uint32_t pos) {
     forget_retry(OsOp::kAcquire, pos);
     ++counters_.acquires;
     emit(obs::EventType::kVipAcquired, {{"group", name}});
-    log_.info("acquired VIP group %s", name.c_str());
+    log_.info("acquired VIP group %s", name);
     return;
   }
   if (result.status == OsOpStatus::kConflict) {
@@ -652,10 +652,10 @@ void Daemon::acquire_group(std::uint32_t pos) {
          {{"group", name}, {"detail", result.detail}});
     log_.warn("acquire of %s hit a duplicate address (%s): deferring to "
               "conflict resolution",
-              name.c_str(), result.detail.c_str());
+              name, result.detail);
   } else {
     ++counters_.acquire_failures;
-    log_.warn("acquire of %s failed: %s", name.c_str(), result.detail.c_str());
+    log_.warn("acquire of %s failed: %s", name, result.detail);
   }
   retry(OsOp::kAcquire, pos, result);
 }
@@ -668,14 +668,13 @@ void Daemon::release_group(std::uint32_t pos) {
       // A release that fails leaves us still answering for the address,
       // so — unlike acquire — we never give up: retry with the same capped
       // backoff until the unbind sticks.
-      log_.warn("release of %s failed: %s", name.c_str(),
-                result.detail.c_str());
+      log_.warn("release of %s failed: %s", name, result.detail);
       retry(OsOp::kRelease, pos, result);
       return;
     }
     ++counters_.releases;
     emit(obs::EventType::kVipReleased, {{"group", name}});
-    log_.info("released VIP group %s", name.c_str());
+    log_.info("released VIP group %s", name);
   }
   forget_retry(OsOp::kRelease, pos);
 }
@@ -714,7 +713,7 @@ void Daemon::retry(OsOp op, std::uint32_t pos, const OsOpResult& result) {
   p.timer.cancel();
   p.timer = sched_.schedule(delay, [this, op, pos] { retry_tick(op, pos); });
   log_.info("retrying %s of %s in %.1fms (attempt %d)",
-            acquire ? "acquire" : "release", groups_.names[pos].c_str(),
+            acquire ? "acquire" : "release", groups_.names[pos],
             sim::to_millis(delay), p.attempts);
 }
 
@@ -764,7 +763,7 @@ void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
            std::to_string(sim::to_millis(config_.quarantine_cooldown))}});
     log_.warn("self-fencing %s: retry budget exhausted (%s); broadcasting "
               "NOTIFY",
-              name.c_str(), reason.c_str());
+              name, reason);
     // Tell the peers on the agreed stream: they drop our claim and re-run a
     // targeted Reallocate_IPs() excluding us, so coverage migrates now
     // instead of waiting for client-visible death (§4.2 fast path). Our own
@@ -799,8 +798,7 @@ void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
   ++counters_.notifies_received;
   auto pos = groups_.position_of_name(m.group);
   if (!pos) {
-    log_.warn("NOTIFY for unknown VIP group '%s' from %s", m.group.c_str(),
-              sender.to_string().c_str());
+    log_.warn("NOTIFY for unknown VIP group '%s' from %s", m.group, sender);
     return;
   }
   auto id = groups_.ids[*pos];
@@ -808,7 +806,7 @@ void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
   if (m.fenced) {
     peer.quarantined.insert(id);
     log_.info("%s fenced %s (%s): reallocating around it",
-              sender.to_string().c_str(), m.group.c_str(), m.reason.c_str());
+              sender, m.group, m.reason);
     // The fenced member holds the allocation but cannot enforce it: drop
     // its claim and re-run the deterministic reallocation without it.
     auto owner = pv_.table.owner(id);
@@ -816,8 +814,7 @@ void Daemon::handle_notify(const gcs::MemberId& sender, const NotifyMsg& m) {
     if (state_ == WamState::kRun) reallocate(Trigger::kNotify);
   } else {
     peer.quarantined.erase(id);
-    log_.info("%s cleared its quarantine of %s", sender.to_string().c_str(),
-              m.group.c_str());
+    log_.info("%s cleared its quarantine of %s", sender, m.group);
   }
 }
 
@@ -855,7 +852,7 @@ void Daemon::cooldown_tick(const std::string& name) {
   ++counters_.groups_unfenced;
   emit(obs::EventType::kGroupUnfenced, {{"group", name}});
   log_.info("quarantine of %s cleared: enforcement layer healthy again",
-            name.c_str());
+            name);
   bool claimed = false;
   if (ours_or_hole && result.ok() && ip_manager_.holds(id)) {
     pv_.table.set_owner(id, client_.self());
@@ -915,7 +912,7 @@ void Daemon::run_audit(AuditPoint point) {
     checks += audit_check_name(f.check);
     log_.warn("state audit [%s] %s%s%s: %s", audit_point_name(point),
               audit_check_name(f.check), f.group.empty() ? "" : " ",
-              f.group.c_str(), f.detail.c_str());
+              f.group, f.detail);
   }
   emit(obs::EventType::kCorruptionDetected,
        {{"checks", checks},
@@ -1010,7 +1007,7 @@ void Daemon::schedule_resync(const std::string& why) {
   ++resync_attempts_;
   last_resync_at_ = sched_.now();
   log_.warn("scheduling resync in %.1fms (%s, attempt %d)",
-            sim::to_millis(delay), why.c_str(), resync_attempts_);
+            sim::to_millis(delay), why, resync_attempts_);
   resync_timer_.cancel();
   resync_timer_ = sched_.schedule(delay, [this] { resync_tick(); });
 }
@@ -1023,7 +1020,7 @@ void Daemon::resync_tick() {
   emit(obs::EventType::kSelfHeal,
        {{"action", "resync"}, {"attempt", std::to_string(resync_attempts_)}});
   log_.warn("resync: rejoining %s to rebuild state from the peers",
-            config_.group.c_str());
+            config_.group);
   last_resync_at_ = sched_.now();
   // Drop the whole client session and rejoin under a FRESH incarnation
   // (new client id), not leave+join under the same identity: the leave
@@ -1064,7 +1061,7 @@ bool Daemon::chaos_corrupt_vip_owner(int index) {
   // agreement AND the owner-not-in-view check.
   gcs::MemberId bogus{net::Ipv4Address(10, 0, 254, 254), 0xC0DE, "bogus"};
   pv_.table.chaos_set_owner_unchecked(groups_.ids[pos], bogus);
-  log_.warn("chaos: corrupted owner of %s", groups_.names[pos].c_str());
+  log_.warn("chaos: corrupted owner of %s", groups_.names[pos]);
   return true;
 }
 
@@ -1073,14 +1070,14 @@ bool Daemon::chaos_corrupt_index(int index) {
   auto pos = config_pos_[static_cast<std::size_t>(index) % config_pos_.size()];
   gcs::MemberId phantom{net::Ipv4Address(10, 0, 254, 253), 0xBEEF, "phantom"};
   pv_.table.chaos_corrupt_index_entry(groups_.ids[pos], phantom);
-  log_.warn("chaos: desynced member index for %s", groups_.names[pos].c_str());
+  log_.warn("chaos: desynced member index for %s", groups_.names[pos]);
   return true;
 }
 
 bool Daemon::chaos_corrupt_view_tag() {
   if (!chaos_armed()) return false;
   pv_.tag.group_seq ^= 0x40;  // single bit flip: the classic soft error
-  log_.warn("chaos: flipped view tag to %s", pv_.tag.to_string().c_str());
+  log_.warn("chaos: flipped view tag to %s", pv_.tag);
   // A flip landing on a still-unhealed earlier flip cancels it: the tag is
   // correct again and there is nothing any detector could ever find.
   // Report not-applied so the oracle records no detection obligation.

@@ -35,10 +35,10 @@ using GroupId = std::uint32_t;
 /// The process-wide table. Exposed for size diagnostics and tests.
 util::Interner& group_interner();
 
-/// Id of `name`, interning it on first sight.
-inline GroupId intern_group(std::string_view name) {
-  return group_interner().intern(name);
-}
+/// Id of `name`, interning it on first sight. Looks in a per-thread
+/// name -> id cache first, so a name this thread has seen before costs a
+/// hash lookup and no lock; only a miss goes to the shared interner.
+GroupId intern_group(std::string_view name);
 
 /// Id of `name` if some config/message has interned it already. A miss
 /// means no VipTable can possibly have an entry for it.

@@ -108,7 +108,7 @@ void HealthMonitor::tick() {
       ++withdrawals_;
       log_.warn("check '%s' failing (%d consecutive): withdrawing from the "
                 "cluster so peers take over the addresses",
-                last_failed_.c_str(), failures_);
+                last_failed_, failures_);
       if (daemon_.running()) daemon_.graceful_shutdown();
     }
   }

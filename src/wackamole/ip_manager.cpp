@@ -59,8 +59,7 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
   // A live holder elsewhere in our network component means binding would
   // split client traffic between two MACs; report kConflict and let the
   // protocol's ResolveConflicts() ordering decide who backs off.
-  const GroupId id = intern_group(group.name);
-  if (!held_.contains(id)) {
+  if (!held_.contains(group.id)) {
     for (const auto& [ip, ifindex] : group.addresses) {
       if (host_.probe_address(ifindex, ip)) {
         if (obs_ != nullptr) {
@@ -76,7 +75,7 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.add_alias(ifindex, ip);
   }
-  held_.insert(id);
+  held_.insert(group.id);
   update_held_gauge();
   announce(group);
   return OsOpResult::success();
@@ -86,13 +85,13 @@ OsOpResult SimIpManager::release(const VipGroup& group) {
   for (const auto& [ip, ifindex] : group.addresses) {
     host_.remove_alias(ifindex, ip);
   }
-  held_.erase(intern_group(group.name));
+  held_.erase(group.id);
   update_held_gauge();
   return OsOpResult::success();
 }
 
 OsOpResult SimIpManager::announce(const VipGroup& group) {
-  if (!held_.contains(intern_group(group.name))) return OsOpResult::success();
+  if (!held_.contains(group.id)) return OsOpResult::success();
   expire_notify_targets();
   if (obs_ != nullptr) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kArpAnnounce,
@@ -198,7 +197,7 @@ OsOpResult RecordingIpManager::acquire(const VipGroup& group) {
   ops_.push_back("acquire " + group.name +
                  (r.ok() ? "" : std::string(" [") +
                                     os_op_status_name(r.status) + "]"));
-  if (r.ok()) held_.insert(intern_group(group.name));
+  if (r.ok()) held_.insert(group.id);
   return r;
 }
 
@@ -207,7 +206,7 @@ OsOpResult RecordingIpManager::release(const VipGroup& group) {
   ops_.push_back("release " + group.name +
                  (r.ok() ? "" : std::string(" [") +
                                     os_op_status_name(r.status) + "]"));
-  if (r.ok()) held_.erase(intern_group(group.name));
+  if (r.ok()) held_.erase(group.id);
   return r;
 }
 

@@ -1,7 +1,11 @@
 #include "wackamole/wire.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 
 namespace wam::wackamole {
@@ -145,11 +149,86 @@ struct NameTable {
   std::size_t name_bytes_ = 0;
 };
 
-std::vector<GroupId> get_id_table(util::ByteReader& r) {
+// ---- Decode memo ---------------------------------------------------------
+//
+// Every STATE and BALANCE/ALLOC body is multicast, so each member of a
+// view decodes the same bytes, and within one thread (one simulated world
+// at a time) that is the same work repeated per receiver. DecodeMemo keeps
+// the last kCapacity successful decodes of one section, keyed by the
+// section's exact bytes: a STATE name table (its extent found by parsing
+// the names, which interns none of them) or a BALANCE/ALLOC body after
+// the view tag (the rest of the message). An equal hash only selects the
+// entry to compare; the bytes are always compared in full. Only
+// successful decodes are stored, and a key is only looked up once the
+// parser has read it, so malformed input throws exactly as it would
+// without the memo.
+
+DecodeMemoStats& memo_stats() {
+  thread_local DecodeMemoStats stats;
+  return stats;
+}
+
+template <class Value, std::size_t kCapacity>
+class DecodeMemo {
+ public:
+  /// The decode stored for exactly `key`, or null.
+  const Value* find(util::ByteView key) {
+    const std::size_t h = hash(key);
+    for (const auto& e : entries_) {
+      if (e.hash == h && e.key.size() == key.size() && !key.empty() &&
+          std::memcmp(e.key.data(), key.data(), key.size()) == 0) {
+        ++memo_stats().hits;
+        return &e.value;
+      }
+    }
+    ++memo_stats().misses;
+    return nullptr;
+  }
+  /// Remember a successful decode, replacing the oldest entry.
+  void store(util::ByteView key, const Value& value) {
+    auto& e = entries_[next_];
+    next_ = (next_ + 1) % kCapacity;
+    e.key.assign(key.begin(), key.end());
+    e.hash = hash(key);
+    e.value = value;
+  }
+
+ private:
+  struct Entry {
+    util::Bytes key;  // empty: unused (no key is empty)
+    std::size_t hash = 0;
+    Value value;
+  };
+  static std::size_t hash(util::ByteView key) {
+    return std::hash<std::string_view>{}(std::string_view(
+        reinterpret_cast<const char*>(key.data()), key.size()));
+  }
+
+  std::array<Entry, kCapacity> entries_{};
+  std::size_t next_ = 0;
+};
+
+// One GATHER round multicasts one STATE per member, and every member
+// decodes all of them: the capacity covers the largest round of the bench
+// worlds (32 servers).
+constexpr std::size_t kStateMemoCapacity = 32;
+// One BALANCE or ALLOC per round, decoded by every member.
+constexpr std::size_t kAllocationMemoCapacity = 4;
+
+std::vector<GroupId> get_id_table(util::ByteReader& r, util::ByteView buf) {
+  thread_local DecodeMemo<std::vector<GroupId>, kStateMemoCapacity> memo;
+  thread_local std::vector<std::string_view> names;
+  const std::size_t before = r.remaining();
   auto n = get_vcount(r, 1);  // each name: >= 1-byte length prefix
+  names.clear();
+  for (std::uint64_t i = 0; i < n; ++i) names.push_back(r.vstr_view());
+  // The bytes just read: the table's varint count and its names.
+  const auto key = buf.subspan(buf.size() - before, before - r.remaining());
+  if (const auto* hit = memo.find(key)) return *hit;
   std::vector<GroupId> table;
   table.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) table.push_back(intern_group(r.vstr()));
+  for (auto name : names) table.push_back(intern_group(name));
+  memo.store(key, table);
   return table;
 }
 
@@ -209,6 +288,15 @@ BalanceMsgV2 decode_allocation_body_v2(util::ByteView buf, WamMsgType type) {
   check_type(r, type);
   BalanceMsgV2 m;
   m.view = get_tag(r);
+  // The rest of the body (owner table and entries) is one memo key: a
+  // stored key equal to it was decoded, to its end, without error.
+  thread_local DecodeMemo<decltype(m.allocation), kAllocationMemoCapacity>
+      memo;
+  const auto body = buf.subspan(buf.size() - r.remaining());
+  if (const auto* hit = memo.find(body)) {
+    m.allocation = *hit;
+    return m;
+  }
   auto n_owners = get_vcount(r, 8);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> owners;
   owners.reserve(n_owners);
@@ -220,7 +308,7 @@ BalanceMsgV2 decode_allocation_body_v2(util::ByteView buf, WamMsgType type) {
   auto n_groups = get_vcount(r, 2);  // vstr prefix + owner index
   m.allocation.reserve(n_groups);
   for (std::uint64_t i = 0; i < n_groups; ++i) {
-    auto id = intern_group(r.vstr());
+    auto id = intern_group(r.vstr_view());
     auto idx = r.varint();
     if (idx >= owners.size()) {
       throw util::DecodeError("owner-table index out of range: " +
@@ -229,6 +317,7 @@ BalanceMsgV2 decode_allocation_body_v2(util::ByteView buf, WamMsgType type) {
     m.allocation.emplace_back(id, owners[idx]);
   }
   r.expect_end();
+  memo.store(body, m.allocation);
   return m;
 }
 
@@ -265,7 +354,7 @@ StateMsgV2 decode_state_v2(util::ByteView buf) {
                             std::to_string(weight));
   }
   m.weight = static_cast<std::uint32_t>(weight);
-  auto table = get_id_table(r);
+  auto table = get_id_table(r, buf);
   m.owned = get_id_list(r, table);
   m.preferred = get_id_list(r, table);
   m.quarantined = get_id_list(r, table);
@@ -347,5 +436,7 @@ WamMsgType peek_type(util::ByteView buf) {
   }
   return static_cast<WamMsgType>(t);
 }
+
+DecodeMemoStats decode_memo_stats() { return memo_stats(); }
 
 }  // namespace wam::wackamole

@@ -124,4 +124,14 @@ struct BalanceMsgV2 {
 [[nodiscard]] BalanceMsgV2 decode_balance_v2(util::ByteView buf);
 [[nodiscard]] BalanceMsgV2 decode_alloc_v2(util::ByteView buf);
 
+/// The v2 decoders remember their last successful decodes per thread: the
+/// names of a STATE name table, or a BALANCE/ALLOC body, whose exact bytes
+/// were decoded recently are not resolved to GroupIds again. Counts of
+/// memo lookups on the calling thread, for tests and measurements.
+struct DecodeMemoStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+[[nodiscard]] DecodeMemoStats decode_memo_stats();
+
 }  // namespace wam::wackamole

@@ -1,13 +1,14 @@
-// Exact heap-allocation counts on the UDP send path.
+// Exact heap-allocation counts on the UDP send path and the per-VIP path.
 //
 // This executable replaces the global operator new/delete with counting
 // versions, so every allocation the library makes between two reads of the
 // counter is seen. A request/echo round trip in steady state (ARP
 // resolved, sockets open, scheduler slab and per-burst containers warm)
 // costs four allocations: the caller's request payload and its frame block,
-// then the echo server's reply payload and its frame block. Counts are
-// exact functions of the code, so a slide shows here long before it shows
-// in wall time.
+// then the echo server's reply payload and its frame block. A log record,
+// an alias bind/unbind and an event delivery in steady state cost none.
+// Counts are exact functions of the code, so a slide shows here long
+// before it shows in wall time.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +18,8 @@
 #include "apps/echo.hpp"
 #include "net/fabric.hpp"
 #include "net/host.hpp"
+#include "obs/events.hpp"
+#include "sim/log.hpp"
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/shared_bytes.hpp"
@@ -116,6 +119,56 @@ TEST(UdpSendAlloc, SendUdpRoundTripCostsFourAllocations) {
   const std::size_t allocs = g_allocations - before;
   EXPECT_EQ(lan.replies, static_cast<std::uint64_t>(kRoundTrips));
   EXPECT_LE(allocs, kAllocsPerRoundTrip * kRoundTrips);
+}
+
+TEST(LogAlloc, SteadyStateRecordWithTwoArgumentsAllocatesNothing) {
+  sim::Scheduler sched;
+  sim::Log log(sched, 256);
+  sim::Logger logger(&log, "net/server");
+  const Ipv4Address ip(10, 0, 0, 100);
+  const std::string group = "vip-10001";
+  // Warm: fill the ring past one wrap so every slot has been claimed.
+  for (int i = 0; i < 600; ++i) logger.info("alias + %s on if%d", ip, i);
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 1000; ++i) {
+    logger.info("alias + %s on if%d", ip, i);
+    logger.info("acquired VIP group %s (%d)", group, i);
+  }
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(log.records().back().message, "acquired VIP group vip-10001 (999)");
+}
+
+TEST(AliasAlloc, SteadyStateAliasChurnAllocatesNothing) {
+  sim::Scheduler sched;
+  Fabric fabric{sched};
+  Host host{sched, fabric, "server"};
+  host.add_interface(fabric.add_segment(), Ipv4Address(10, 0, 0, 1), 24);
+  auto vip = [](int k) {
+    return Ipv4Address(10, 0, static_cast<std::uint8_t>(1 + k / 250),
+                       static_cast<std::uint8_t>(1 + k % 250));
+  };
+  for (int k = 0; k < 512; ++k) host.add_alias(0, vip(k));
+  for (int k = 0; k < 512; ++k) host.remove_alias(0, vip(k));
+  const std::size_t before = g_allocations;
+  for (int round = 0; round < 4; ++round) {
+    for (int k = 0; k < 512; ++k) host.add_alias(0, vip(k));
+    EXPECT_TRUE(host.owns_ip(vip(511)));
+    for (int k = 0; k < 512; ++k) host.remove_alias(0, vip(k));
+  }
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_FALSE(host.owns_ip(vip(0)));
+  EXPECT_TRUE(host.owns_ip(Ipv4Address(10, 0, 0, 1)));
+}
+
+TEST(EventBusAlloc, PublishAllocatesNothingPerHandler) {
+  obs::EventBus bus;
+  int calls = 0;
+  auto a = bus.subscribe([&](const obs::Event&) { ++calls; });
+  auto b = bus.subscribe([&](const obs::Event&) { ++calls; });
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 100; ++i) bus.publish(obs::Event{});
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_EQ(calls, 200);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,6 +87,52 @@ TEST_F(HostTest, AliasReceivesTraffic) {
   EXPECT_TRUE(b->owns_ip(Ipv4Address(10, 0, 0, 50)));
   b->remove_alias(0, Ipv4Address(10, 0, 0, 50));
   EXPECT_FALSE(b->owns_ip(Ipv4Address(10, 0, 0, 50)));
+}
+
+TEST_F(HostTest, AddressOwnershipAcrossInterfaces) {
+  auto h = make_host("h", 1);
+  const SegmentId other = fabric.add_segment();
+  h->add_interface(other, Ipv4Address(192, 168, 0, 1), 24);
+  // Enough aliases to grow the index several times, bound out of order.
+  std::vector<Ipv4Address> vips;
+  for (int k = 200; k >= 0; --k) {
+    vips.emplace_back(10, 0, static_cast<std::uint8_t>(1 + k / 100),
+                      static_cast<std::uint8_t>(k % 100));
+    h->add_alias(k % 2, vips.back());
+  }
+  std::vector<Ipv4Address> on0;
+  std::vector<Ipv4Address> on1;
+  for (int k = 0; k <= 200; ++k) {
+    (k % 2 == 0 ? on0 : on1).push_back(vips[static_cast<std::size_t>(200 - k)]);
+  }
+  std::sort(on0.begin(), on0.end());
+  std::sort(on1.begin(), on1.end());
+  EXPECT_EQ(h->aliases(0), on0);  // ascending, primaries not listed
+  EXPECT_EQ(h->aliases(1), on1);
+  EXPECT_EQ(h->ifindex_of_ip(Ipv4Address(192, 168, 0, 1)), 1);
+  EXPECT_EQ(h->ifindex_of_ip(on1.front()), 1);
+  EXPECT_EQ(h->ifindex_of_ip(Ipv4Address(10, 9, 9, 9)), -1);
+
+  // Unbinding every other alias keeps the rest reachable (deletion shifts
+  // later entries of a probe run back).
+  for (std::size_t i = 0; i < vips.size(); i += 2) {
+    h->remove_alias(static_cast<int>((200 - i) % 2), vips[i]);
+  }
+  for (std::size_t i = 0; i < vips.size(); ++i) {
+    EXPECT_EQ(h->owns_ip(vips[i]), i % 2 == 1) << vips[i].to_string();
+  }
+
+  // The same address on both interfaces: the lowest index owns it, and
+  // removing an alias never drops a primary address.
+  const Ipv4Address shared(10, 0, 9, 9);
+  h->add_alias(1, shared);
+  h->add_alias(0, shared);
+  EXPECT_EQ(h->ifindex_of_ip(shared), 0);
+  h->remove_alias(0, shared);
+  EXPECT_EQ(h->ifindex_of_ip(shared), 1);
+  h->remove_alias(0, h->primary_ip(0));
+  EXPECT_TRUE(h->owns_ip(h->primary_ip(0)));
+  EXPECT_EQ(h->ifindex_of_ip(h->primary_ip(0)), 0);
 }
 
 TEST_F(HostTest, RemovedAliasStopsAnsweringArp) {

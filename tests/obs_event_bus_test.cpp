@@ -73,6 +73,55 @@ TEST(EventBus, HandlerMayUnsubscribeDuringDelivery) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(EventBus, SubscribeAndUnsubscribeDuringDeliveryTakeEffectNextPublish) {
+  EventBus bus;
+  std::vector<std::string> calls;
+  EventBus::Subscription first;
+  EventBus::Subscription second;
+  EventBus::Subscription late;
+  first = bus.subscribe([&](const Event& e) {
+    calls.push_back("first" + std::to_string(e.seq));
+    if (e.seq == 1) {
+      // Subscribe a new handler and drop a later one, mid-delivery.
+      late = bus.subscribe([&](const Event& ev) {
+        calls.push_back("late" + std::to_string(ev.seq));
+      });
+      second.reset();
+    }
+  });
+  second = bus.subscribe([&](const Event& e) {
+    calls.push_back("second" + std::to_string(e.seq));
+  });
+  EXPECT_EQ(bus.subscriber_count(), 2u);
+  bus.publish(make_event(0, EventType::kBalanceRound, "wam/s1"));
+  // The dropped handler still saw event 1; the new one did not.
+  EXPECT_EQ(calls, (std::vector<std::string>{"first1", "second1"}));
+  EXPECT_EQ(bus.subscriber_count(), 2u);
+  calls.clear();
+  bus.publish(make_event(1, EventType::kBalanceRound, "wam/s1"));
+  EXPECT_EQ(calls, (std::vector<std::string>{"first2", "late2"}));
+}
+
+TEST(EventBus, HandlerMayDropItselfAndPublishReentrantly) {
+  EventBus bus;
+  std::vector<std::uint64_t> seen;
+  EventBus::Subscription once;
+  once = bus.subscribe([&](const Event& e) {
+    seen.push_back(e.seq);
+    once.reset();
+    // A nested publish starts after the drop, so it skips this handler.
+    if (e.seq == 1) bus.publish(make_event(1, EventType::kDisconnect, "x"));
+  });
+  auto steady =
+      bus.subscribe([&](const Event& e) { seen.push_back(100 + e.seq); });
+  bus.publish(make_event(0, EventType::kDisconnect, "x"));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 102, 101}));
+  EXPECT_EQ(bus.subscriber_count(), 1u);
+  seen.clear();
+  bus.publish(make_event(2, EventType::kDisconnect, "x"));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{103}));
+}
+
 TEST(EventTimeline, RecordsBoundedAndCounts) {
   EventBus bus;
   EventTimeline timeline(bus, 3);

@@ -1,13 +1,16 @@
 // Wire format v2: compact STATE/BALANCE/ALLOC bodies (per-message name
 // table + varint indices). Pins round-trips, the cross-process determinism
 // of the encoded bytes (sorted by NAME, never by process-local GroupId),
-// rejection of the retired v1 codes, and the size win over the v1 layout.
+// rejection of the retired v1 codes, the size win over the v1 layout, and
+// the per-thread decode memo: a hit must give exactly what a fresh decode
+// gives, and malformed input must throw exactly as without the memo.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "wackamole/group_ids.hpp"
 #include "wackamole/wire.hpp"
 
@@ -182,6 +185,133 @@ TEST(WamWireV2, EmptyListsRoundTrip) {
   BalanceMsgV2 b;
   b.view = s.view;
   EXPECT_TRUE(decode_balance_v2(encode_balance_v2(b)).allocation.empty());
+}
+
+// ---- decode memo ----------------------------------------------------------
+
+void expect_same_state(const StateMsgV2& a, const StateMsgV2& b) {
+  EXPECT_EQ(a.view, b.view);
+  EXPECT_EQ(a.mature, b.mature);
+  EXPECT_EQ(a.weight, b.weight);
+  EXPECT_EQ(a.owned, b.owned);
+  EXPECT_EQ(a.preferred, b.preferred);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+}
+
+/// Offset of the first byte of `name` in `bytes` (it must be present).
+std::size_t offset_of(const util::Bytes& bytes, const std::string& name) {
+  auto it = std::search(bytes.begin(), bytes.end(), name.begin(), name.end());
+  EXPECT_NE(it, bytes.end());
+  return static_cast<std::size_t>(it - bytes.begin());
+}
+
+TEST(WamWireV2Memo, EqualBytesGiveAnEqualMessage) {
+  auto m = sample_state();
+  m.view = ViewTag{71, 0x0a000009, 1};
+  const auto bytes = encode_state_v2(m);
+  const auto first = decode_state_v2(bytes);
+  const auto before = decode_memo_stats();
+  const auto again = decode_state_v2(bytes);
+  EXPECT_EQ(decode_memo_stats().hits, before.hits + 1);
+  expect_same_state(again, first);
+  expect_same_state(again, m);
+
+  // Same name table under a new view tag: still one decode of the names.
+  auto next = m;
+  next.view = ViewTag{72, 0x0a000009, 2};
+  const auto hits = decode_memo_stats().hits;
+  expect_same_state(decode_state_v2(encode_state_v2(next)), next);
+  EXPECT_EQ(decode_memo_stats().hits, hits + 1);
+
+  auto b = sample_balance();
+  const auto bb = encode_balance_v2(b);
+  (void)decode_balance_v2(bb);
+  const auto bal_hits = decode_memo_stats().hits;
+  EXPECT_EQ(decode_balance_v2(bb).allocation, b.allocation);
+  // ALLOC shares BALANCE's body, so its memo entry too.
+  EXPECT_EQ(decode_alloc_v2(encode_alloc_v2(b)).allocation, b.allocation);
+  EXPECT_EQ(decode_memo_stats().hits, bal_hits + 2);
+}
+
+TEST(WamWireV2Memo, OneChangedNameByteForcesAFreshDecode) {
+  StateMsgV2 m;
+  m.view = ViewTag{73, 0x0a000001, 1};
+  m.owned = {intern_group("memo-one-a"), intern_group("memo-one-b")};
+  auto bytes = encode_state_v2(m);
+  (void)decode_state_v2(bytes);  // cached
+
+  bytes[offset_of(bytes, "memo-one-b") + 9] = 'c';  // "memo-one-c"
+  const auto misses = decode_memo_stats().misses;
+  const auto d = decode_state_v2(bytes);
+  EXPECT_EQ(decode_memo_stats().misses, misses + 1);
+  ASSERT_EQ(d.owned.size(), 2u);
+  EXPECT_EQ(group_name(d.owned[0]), "memo-one-a");
+  EXPECT_EQ(group_name(d.owned[1]), "memo-one-c");
+
+  BalanceMsgV2 b;
+  b.view = m.view;
+  b.allocation = {{intern_group("memo-one-a"), {1u, 1u}}};
+  auto bb = encode_balance_v2(b);
+  (void)decode_balance_v2(bb);
+  bb[offset_of(bb, "memo-one-a") + 9] = 'z';
+  const auto d2 = decode_balance_v2(bb);
+  ASSERT_EQ(d2.allocation.size(), 1u);
+  EXPECT_EQ(group_name(d2.allocation[0].first), "memo-one-z");
+}
+
+TEST(WamWireV2Memo, MalformedBodiesThrowWhenAPrefixIsCached) {
+  const auto state = encode_state_v2(sample_state());
+  const auto balance = encode_balance_v2(sample_balance());
+  (void)decode_state_v2(state);      // both cached
+  (void)decode_balance_v2(balance);
+
+  for (const auto* full : {&state, &balance}) {
+    const bool is_state = full == &state;
+    auto decode = [is_state](const util::Bytes& b) {
+      if (is_state) {
+        (void)decode_state_v2(b);
+      } else {
+        (void)decode_balance_v2(b);
+      }
+    };
+    // Every truncation, including ones that end inside the cached section.
+    for (std::size_t n = 0; n < full->size(); ++n) {
+      util::Bytes cut(full->begin(),
+                      full->begin() + static_cast<std::ptrdiff_t>(n));
+      EXPECT_THROW(decode(cut), util::DecodeError) << n;
+    }
+    // The cached section followed by trailing garbage.
+    auto longer = *full;
+    longer.push_back(0);
+    EXPECT_THROW(decode(longer), util::DecodeError);
+  }
+
+  // A valid cached name table followed by an out-of-range list index.
+  auto bad_index = state;
+  bad_index.back() = 0x7f;
+  EXPECT_THROW((void)decode_state_v2(bad_index), util::DecodeError);
+  // The intact bodies still decode from the memo afterwards.
+  expect_same_state(decode_state_v2(state), sample_state());
+  EXPECT_EQ(decode_balance_v2(balance).allocation,
+            sample_balance().allocation);
+}
+
+TEST(WamWireV2Memo, ColdBodiesBeyondTheCapacityStillDecode) {
+  // More distinct tables than the memo holds: every one decodes right, and
+  // the oldest are evicted rather than mistaken for a newer entry.
+  std::vector<StateMsgV2> msgs;
+  for (int i = 0; i < 80; ++i) {
+    StateMsgV2 m;
+    m.view = ViewTag{80, 0x0a000001, static_cast<std::uint64_t>(i)};
+    m.owned = {intern_group("cold-" + std::to_string(i)),
+               intern_group("cold-shared")};
+    msgs.push_back(m);
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const auto& m : msgs) {
+      expect_same_state(decode_state_v2(encode_state_v2(m)), m);
+    }
+  }
 }
 
 }  // namespace

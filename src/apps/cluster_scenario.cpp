@@ -313,7 +313,7 @@ bool ClusterScenario::corrupt_vip_owner(int i, int group_index) {
   obs.emit(sched.now(), obs::EventType::kFaultInjected, "scenario",
            {{"kind", "corrupt_vip_owner"},
             {"server", "s" + std::to_string(i + 1)},
-            {"group_index", std::to_string(group_index)},
+            {"group_index", group_index},
             {"applied", applied ? "1" : "0"}});
   return applied;
 }
@@ -323,7 +323,7 @@ bool ClusterScenario::corrupt_index(int i, int group_index) {
   obs.emit(sched.now(), obs::EventType::kFaultInjected, "scenario",
            {{"kind", "corrupt_index"},
             {"server", "s" + std::to_string(i + 1)},
-            {"group_index", std::to_string(group_index)},
+            {"group_index", group_index},
             {"applied", applied ? "1" : "0"}});
   return applied;
 }

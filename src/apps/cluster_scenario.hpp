@@ -208,11 +208,11 @@ class ClusterScenario {
   sim::Scheduler sched;
   sim::Log log{sched};
   /// Shared observability context: every daemon, host and fabric in the
-  /// scenario is bound here (scopes "wam/s<N>", "gcs/s<N>", "net", ...),
-  /// and `timeline` records every structured event for JSON export.
+  /// scenario is bound here (scopes "wam/s<N>", "gcs/s<N>", "net", ...).
   /// Declared before the components so it outlives their bound counters.
   obs::Observability obs;
-  obs::EventTimeline timeline{obs.bus};
+  /// The structured events, for reading and JSON export (`obs.bus`).
+  obs::EventTimeline& timeline = obs.bus;
   /// Seeded from ClusterOptions::seed in the constructor, so two scenarios
   /// with the same options replay byte-identical frame timing.
   net::Fabric fabric;

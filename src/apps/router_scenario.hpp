@@ -107,7 +107,7 @@ class RouterScenario {
   /// Shared observability context (see ClusterScenario for the scope
   /// conventions); declared before the bound components.
   obs::Observability obs;
-  obs::EventTimeline timeline{obs.bus};
+  obs::EventTimeline& timeline = obs.bus;  // the structured events
   /// Seeded from RouterScenarioOptions::seed in the constructor.
   net::Fabric fabric;
 

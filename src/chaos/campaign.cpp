@@ -133,10 +133,10 @@ void extract_reconvergence_ms(const obs::EventTimeline& timeline,
   for (std::size_t i = 0; i < events.size(); ++i) {
     const auto& e = events[i];
     if (e.type != obs::EventType::kFaultInjected) continue;
-    const std::string* kind = e.field("kind");
-    const std::string* applied = e.field("applied");
-    const std::string* server = e.field("server");
-    if (kind == nullptr || applied == nullptr || server == nullptr) continue;
+    const auto kind = e.field("kind");
+    const auto applied = e.field("applied");
+    const auto server = e.field("server");
+    if (!kind || !applied || !server) continue;
     if (*applied != "1") continue;
     if (*kind != "corrupt_vip_owner" && *kind != "corrupt_index" &&
         *kind != "stale_incarnation" && *kind != "flip_view_id") {

@@ -64,7 +64,7 @@ Daemon::~Daemon() {
 
 void Daemon::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
-  obs_scope_ = std::move(scope);
+  obs_scope_ = obs.intern(scope);
   obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
@@ -957,7 +957,7 @@ void Daemon::install_view(const Install& inst) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kViewInstalled,
                obs_scope_,
                {{"view", view_.id.to_string()},
-                {"members", std::to_string(view_.members.size())}});
+                {"members", view_.members.size()}});
   }
 
   group_table_.replace(inst.groups, inst.group_seqs);

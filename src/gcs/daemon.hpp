@@ -340,7 +340,7 @@ class Daemon {
 
   DaemonCounters counters_;
   obs::Observability* obs_ = nullptr;
-  std::string obs_scope_;
+  std::string_view obs_scope_;  // interned in *obs_
 };
 
 }  // namespace wam::gcs

@@ -99,7 +99,7 @@ FabricCounters& Fabric::ctrs(NicId id) {
 
 void Fabric::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
-  obs_scope_ = std::move(scope);
+  obs_scope_ = obs.intern(scope);
   obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
@@ -123,7 +123,7 @@ NicId Fabric::attach(SegmentId seg, MacAddress mac, DeliverFn deliver) {
     WAM_EXPECTS(!(existing.segment == seg && existing.mac == mac));
   }
   auto id = static_cast<NicId>(nics_.size());
-  nics_.push_back(Nic{seg, mac, true, 0, std::move(deliver)});
+  nics_.push_back(Nic{seg, mac, true, 0, std::move(deliver), {}, {}});
   segments_[static_cast<std::size_t>(seg)].nics.push_back(id);
   journal_.emplace_back();
   nic_rng_.push_back(
@@ -206,8 +206,8 @@ void Fabric::set_partition(SegmentId seg,
   if (obs_ != nullptr) {
     obs_->emit(sched_.now(), obs::EventType::kFaultInjected, obs_scope_,
                {{"kind", "partition"},
-                {"segment", std::to_string(seg)},
-                {"components", std::to_string(groups.size())}});
+                {"segment", seg},
+                {"components", groups.size()}});
   }
 }
 
@@ -216,9 +216,7 @@ void Fabric::block_direction(NicId from, NicId to) {
   log_.info("directional block: nic %d -> nic %d", from, to);
   if (obs_ != nullptr) {
     obs_->emit(sched_.now(), obs::EventType::kFaultInjected, obs_scope_,
-               {{"kind", "directional_block"},
-                {"from", std::to_string(from)},
-                {"to", std::to_string(to)}});
+               {{"kind", "directional_block"}, {"from", from}, {"to", to}});
   }
 }
 
@@ -226,9 +224,7 @@ void Fabric::unblock_direction(NicId from, NicId to) {
   if (blocked_.erase({from, to}) == 0) return;
   if (obs_ != nullptr) {
     obs_->emit(sched_.now(), obs::EventType::kFaultHealed, obs_scope_,
-               {{"kind", "directional_unblock"},
-                {"from", std::to_string(from)},
-                {"to", std::to_string(to)}});
+               {{"kind", "directional_unblock"}, {"from", from}, {"to", to}});
   }
 }
 
@@ -253,7 +249,7 @@ void Fabric::set_drop_probability(SegmentId seg, double p) {
                        : obs::EventType::kFaultHealed,
                obs_scope_,
                {{"kind", p > 0.0 ? "loss_burst" : "loss_end"},
-                {"segment", std::to_string(seg)},
+                {"segment", seg},
                 {"p", std::to_string(p)}});
   }
 }
@@ -266,7 +262,7 @@ void Fabric::merge_segment(SegmentId seg) {
   log_.info("segment %d merged", seg);
   if (obs_ != nullptr) {
     obs_->emit(sched_.now(), obs::EventType::kFaultHealed, obs_scope_,
-               {{"kind", "merge"}, {"segment", std::to_string(seg)}});
+               {{"kind", "merge"}, {"segment", seg}});
   }
 }
 

@@ -246,7 +246,7 @@ class Fabric {
   std::uint16_t next_mac_ = 1;
   std::set<std::pair<NicId, NicId>> blocked_;  // (from, to) one-way faults
   obs::Observability* obs_ = nullptr;
-  std::string obs_scope_;
+  std::string_view obs_scope_;  // interned in *obs_
 
   sim::ShardSet* shards_ = nullptr;
   std::vector<int> nic_shard_;      // shard of each NIC (sharded mode)

@@ -1,36 +1,52 @@
 #include "obs/events.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "obs/json.hpp"
+#include "util/assert.hpp"
 
 namespace wam::obs {
 
+namespace {
+
+// Indexed by EventType, in declaration order.
+constexpr const char* kEventTypeNames[] = {
+    "ViewInstalled", "StateTransition", "VipAcquired",
+    "VipReleased",   "BalanceRound",    "Reallocation",
+    "Disconnect",    "ArpAnnounce",     "FaultInjected",
+    "FaultHealed",   "ArpConflict",     "GroupFenced",
+    "GroupUnfenced", "PanicRelease",    "CorruptionDetected",
+    "SelfHeal",
+};
+static_assert(std::size(kEventTypeNames) ==
+                  static_cast<std::size_t>(EventType::kCount),
+              "one name per EventType");
+
+}  // namespace
+
 const char* event_type_name(EventType t) {
-  switch (t) {
-    case EventType::kViewInstalled: return "ViewInstalled";
-    case EventType::kStateTransition: return "StateTransition";
-    case EventType::kVipAcquired: return "VipAcquired";
-    case EventType::kVipReleased: return "VipReleased";
-    case EventType::kBalanceRound: return "BalanceRound";
-    case EventType::kReallocation: return "Reallocation";
-    case EventType::kDisconnect: return "Disconnect";
-    case EventType::kArpAnnounce: return "ArpAnnounce";
-    case EventType::kFaultInjected: return "FaultInjected";
-    case EventType::kFaultHealed: return "FaultHealed";
-    case EventType::kArpConflict: return "ArpConflict";
-    case EventType::kGroupFenced: return "GroupFenced";
-    case EventType::kGroupUnfenced: return "GroupUnfenced";
-    case EventType::kPanicRelease: return "PanicRelease";
-    case EventType::kCorruptionDetected: return "CorruptionDetected";
-    case EventType::kSelfHeal: return "SelfHeal";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(t);
+  return i < std::size(kEventTypeNames) ? kEventTypeNames[i] : "?";
 }
 
-const std::string* Event::field(std::string_view key) const {
-  for (const auto& [k, v] : fields) {
-    if (k == key) return &v;
+std::string Value::str() const {
+  struct Render {
+    std::string operator()(std::int64_t v) const { return std::to_string(v); }
+    std::string operator()(std::string_view v) const { return std::string(v); }
+    std::string operator()(net::Ipv4Address v) const { return v.to_string(); }
+    std::string operator()(const std::shared_ptr<const std::string>& v) const {
+      return *v;
+    }
+  };
+  return std::visit(Render{}, v_);
+}
+
+std::optional<std::string> Event::field(std::string_view key) const {
+  for (const auto& f : fields()) {
+    if (f.key == key) return f.value.str();
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::string Event::to_json() const {
@@ -40,116 +56,49 @@ std::string Event::to_json() const {
   w.key("t_ns").value(
       static_cast<std::int64_t>(time.time_since_epoch().count()));
   w.key("type").value(event_type_name(type));
-  w.key("source").value(source);
+  w.key("source").value(std::string(source));
   w.key("fields").begin_object();
-  for (const auto& [k, v] : fields) w.key(k).value(v);
+  for (const auto& f : fields()) w.key(f.key).value(f.value.str());
   w.end_object();
   w.end_object();
   return w.str();
 }
 
-// ------------------------------------------------------------------ bus ----
-
-void EventBus::Subscription::reset() {
-  if (auto table = table_.lock()) table->drop(id_);
-  table_.reset();
-}
-
-void EventBus::Table::drop(std::uint64_t id) {
-  for (auto& e : entries) {
-    if (e.id == id && e.dropped_at == 0) {
-      e.dropped_at = published;
-      any_dropped = true;
-    }
+void EventTimeline::emit(sim::TimePoint time, EventType type,
+                         std::string_view source,
+                         std::initializer_list<Field> fields) {
+  WAM_EXPECTS(fields.size() <= Event::kMaxFields);
+  Event* e = nullptr;
+  if (ring_.size() < kCapacity) {
+    e = &ring_.emplace_back();
+  } else {
+    e = &ring_[oldest_];
+    oldest_ = (oldest_ + 1) % kCapacity;
   }
-  settle();
+  e->time = time;
+  e->seq = ++published_;
+  e->type = type;
+  e->source = source;
+  e->field_count = static_cast<std::uint8_t>(fields.size());
+  std::copy(fields.begin(), fields.end(), e->field_slots.begin());
 }
 
-void EventBus::Table::settle() {
-  if (delivering > 0 || !any_dropped) return;
-  std::erase_if(entries, [](const Entry& e) { return e.dropped_at != 0; });
-  any_dropped = false;
-}
-
-EventBus::EventBus() : handlers_(std::make_shared<Table>()) {}
-
-EventBus::Subscription EventBus::subscribe(Handler handler) {
-  Subscription sub;
-  sub.table_ = handlers_;
-  sub.id_ = next_id_++;
-  handlers_->entries.push_back(Table::Entry{sub.id_, std::move(handler), 0});
-  return sub;
-}
-
-std::size_t EventBus::subscriber_count() const {
-  std::size_t n = 0;
-  for (const auto& e : handlers_->entries) n += e.dropped_at == 0 ? 1 : 0;
-  return n;
-}
-
-void EventBus::publish(Event event) {
-  Table& table = *handlers_;
-  event.seq = ++table.published;
-  // The guard erases entries dropped during delivery once the outermost
-  // delivery returns, also when a handler throws.
-  struct Delivery {
-    Table& table;
-    explicit Delivery(Table& t) : table(t) { ++table.delivering; }
-    ~Delivery() {
-      --table.delivering;
-      table.settle();
-    }
-  } delivery(table);
-  // Handlers subscribed during this delivery sit past `n` and wait for the
-  // next publish.
-  const std::size_t n = table.entries.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& e = table.entries[i];
-    if (e.dropped_at == 0 || event.seq <= e.dropped_at) e.handler(event);
-  }
-}
-
-// ------------------------------------------------------------- timeline ----
-
-EventTimeline::EventTimeline(EventBus& bus, std::size_t capacity)
-    : capacity_(capacity) {
-  sub_ = bus.subscribe([this](const Event& e) {
-    events_.push_back(e);
-    if (events_.size() > capacity_) {
-      events_.pop_front();
-      ++dropped_;
-    }
-  });
+const std::deque<Event>& EventTimeline::events() const {
+  const auto oldest = static_cast<std::ptrdiff_t>(oldest_);
+  std::rotate(ring_.begin(), ring_.begin() + oldest, ring_.end());
+  oldest_ = 0;
+  return ring_;
 }
 
 std::size_t EventTimeline::count(EventType t) const {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.type == t) ++n;
-  }
-  return n;
-}
-
-std::size_t EventTimeline::count(EventType t,
-                                 std::string_view source_prefix) const {
-  std::size_t n = 0;
-  for (const auto& e : events_) {
-    if (e.type != t) continue;
-    if (e.source == source_prefix) {
-      ++n;
-    } else if (e.source.size() > source_prefix.size() &&
-               e.source.compare(0, source_prefix.size(), source_prefix) == 0 &&
-               e.source[source_prefix.size()] == '/') {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(
+      ring_.begin(), ring_.end(), [t](const Event& e) { return e.type == t; }));
 }
 
 std::string EventTimeline::to_json() const {
   std::string out = "[";
   bool first = true;
-  for (const auto& e : events_) {
+  for (const auto& e : events()) {
     if (!first) out += ',';
     first = false;
     out += e.to_json();

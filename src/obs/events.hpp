@@ -1,30 +1,35 @@
 // Structured cluster events: the typed counterpart of grepping the log.
 //
-// Protocol layers publish Events — ViewInstalled, StateTransition,
-// VipAcquired, VipReleased, BalanceRound, Disconnect, ... — onto one
-// EventBus per simulation. Every event carries the virtual timestamp at
-// which it happened, a source scope ("wam/s2", "gcs/s1", "scenario"), and
-// an ordered list of string fields, so the availability analyses of the
-// paper (Figure 5's interruption timeline, Table 1's detection windows)
-// can be computed from precise, machine-readable timelines instead of log
-// scraping.
+// Protocol layers emit Events — ViewInstalled, StateTransition,
+// VipAcquired, VipReleased, BalanceRound, Disconnect, ... — into one
+// EventTimeline per simulation. Every event carries the virtual timestamp
+// at which it happened, a source scope ("wam/s2", "gcs/s1", "scenario"),
+// and up to four ordered key/value fields, so the availability analyses of
+// the paper (Figure 5's interruption timeline, Table 1's detection
+// windows) can be computed from precise, machine-readable timelines
+// instead of log scraping.
 //
-// Subscriptions are RAII tokens: dropping the token detaches the handler,
-// and a token outliving its bus is harmless (weak reference). The bounded
-// EventTimeline is the standard subscriber — it records the most recent
-// `capacity` events and exports them as deterministic JSON (two runs with
-// the same seed produce byte-identical documents).
+// An event is stored as values: a field holds an integer, a view of a
+// string that outlives the timeline, an address, or an owned string for
+// text made at the call site. Nothing is formatted until the timeline is
+// read, and an emit into a full timeline reuses the oldest event's slot.
+// The export is deterministic JSON (two runs with the same seed produce
+// byte-identical documents), with every field value rendered as a string.
 #pragma once
 
-#include <cstdint>
+#include <array>
+#include <concepts>
 #include <deque>
-#include <functional>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
+#include <variant>
 
+#include "net/address.hpp"
 #include "sim/time.hpp"
 
 namespace wam::obs {
@@ -46,132 +51,109 @@ enum class EventType : std::uint8_t {
   kPanicRelease,     // wam: release_everything() — all groups dropped at once
   kCorruptionDetected,  // wam/gcs: a state audit found corrupted hot state
   kSelfHeal,            // wam/gcs: recovery action taken on a corruption
+  kCount,               // number of event types, not a type
 };
 
 [[nodiscard]] const char* event_type_name(EventType t);
 
-struct Event {
-  sim::TimePoint time{};                    // virtual timestamp
-  EventType type = EventType::kViewInstalled;
-  std::string source;                       // metric-style scope
-  /// Ordered key/value payload (insertion order is export order).
-  std::vector<std::pair<std::string, std::string>> fields;
-  std::uint64_t seq = 0;                    // stamped by the bus
+/// A view of a string that outlives the timeline: an interned group name
+/// (wackamole::group_name) or a name from Observability::intern(). The
+/// wrapper is what lets a view into a field; a bare std::string_view does
+/// not convert, so a view of a temporary cannot slip in.
+struct Interned {
+  std::string_view text;
+};
 
-  [[nodiscard]] const std::string* field(std::string_view key) const;
+/// One field value. Every kind renders as a JSON string.
+class Value {
+ public:
+  Value() = default;
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  Value(T v) : v_(static_cast<std::int64_t>(v)) {}  // NOLINT: implicit
+  /// A string literal or other static string.
+  Value(const char* literal) : v_(std::string_view(literal)) {}  // NOLINT
+  Value(Interned s) : v_(s.text) {}                               // NOLINT
+  Value(net::Ipv4Address a) : v_(a) {}                            // NOLINT
+  /// Text made at the call site (`view`, `detail`, `checks`, a server
+  /// name): the event keeps it, immutable, shared by copies of the event.
+  Value(std::string owned)  // NOLINT
+      : v_(std::make_shared<const std::string>(std::move(owned))) {}
+
+  /// The value as it appears in the JSON export (unescaped).
+  [[nodiscard]] std::string str() const;
+
+ private:
+  // The owned kind is a pointer so that every kind fits in 16 bytes.
+  std::variant<std::int64_t, std::string_view, net::Ipv4Address,
+               std::shared_ptr<const std::string>>
+      v_;
+};
+
+struct Field {
+  const char* key = "";  // a string literal
+  Value value;
+};
+
+struct Event {
+  static constexpr std::size_t kMaxFields = 4;
+
+  sim::TimePoint time{};  // virtual timestamp
+  std::uint64_t seq = 0;  // 1-based emit order, stamped by the timeline
+  std::string_view source;  // metric-style scope, interned
+  EventType type = EventType::kViewInstalled;
+  std::uint8_t field_count = 0;
+  std::array<Field, kMaxFields> field_slots{};
+
+  /// The fields in emit order (which is export order).
+  [[nodiscard]] std::span<const Field> fields() const {
+    return {field_slots.data(), field_count};
+  }
+  /// The rendered value of `key`, or nullopt when the event has no such
+  /// field.
+  [[nodiscard]] std::optional<std::string> field(std::string_view key) const;
   /// One deterministic JSON object, e.g.
   /// {"seq":7,"t_ns":1500000,"type":"VipAcquired","source":"wam/s2",
   ///  "fields":{"group":"10.0.0.100"}}
   [[nodiscard]] std::string to_json() const;
 };
 
-class EventBus {
- public:
-  using Handler = std::function<void(const Event&)>;
-
- private:
-  struct Table;
-
- public:
-  /// RAII subscription token (move-only). reset() or destruction detaches
-  /// the handler; safe to outlive the bus.
-  class Subscription {
-   public:
-    Subscription() = default;
-    Subscription(Subscription&& other) noexcept { *this = std::move(other); }
-    Subscription& operator=(Subscription&& other) noexcept {
-      if (this != &other) {
-        reset();
-        table_ = std::move(other.table_);
-        id_ = other.id_;
-        other.table_.reset();
-      }
-      return *this;
-    }
-    Subscription(const Subscription&) = delete;
-    Subscription& operator=(const Subscription&) = delete;
-    ~Subscription() { reset(); }
-
-    void reset();
-    [[nodiscard]] bool active() const { return !table_.expired(); }
-
-   private:
-    friend class EventBus;
-    std::weak_ptr<Table> table_;
-    std::uint64_t id_ = 0;
-  };
-
-  EventBus();
-  EventBus(const EventBus&) = delete;
-  EventBus& operator=(const EventBus&) = delete;
-
-  [[nodiscard]] Subscription subscribe(Handler handler);
-  /// Stamp a sequence number and deliver to every subscriber synchronously,
-  /// in subscription order. Handlers may subscribe/unsubscribe during
-  /// delivery (a handler may drop itself); changes take effect from the
-  /// next publish. A handler must not destroy the bus.
-  void publish(Event event);
-
-  [[nodiscard]] std::uint64_t published() const {
-    return handlers_->published;
-  }
-  [[nodiscard]] std::size_t subscriber_count() const;
-
- private:
-  /// The handler table. Delivery iterates it in place, by index, over the
-  /// entries present when it started. Entries live in a deque, so a
-  /// subscribe during delivery appends without moving the handler that is
-  /// running, and an unsubscribe during delivery only stamps its entry,
-  /// which the outermost delivery erases when it returns.
-  struct Table {
-    struct Entry {
-      std::uint64_t id = 0;
-      Handler handler;
-      /// Events published up to the drop, 0 while subscribed: events
-      /// published before the drop still reach the handler, later ones not.
-      std::uint64_t dropped_at = 0;
-    };
-    std::deque<Entry> entries;  // ascending id
-    std::uint64_t published = 0;
-    int delivering = 0;  // nesting depth of publish()
-    bool any_dropped = false;
-
-    void drop(std::uint64_t id);
-    /// Erase dropped entries unless a delivery is running.
-    void settle();
-  };
-
-  std::shared_ptr<Table> handlers_;
-  std::uint64_t next_id_ = 1;
-};
-
-/// Bounded recorder: keeps the most recent `capacity` events.
+/// The simulation's one event recorder: a ring holding the newest
+/// kCapacity events.
 class EventTimeline {
  public:
-  explicit EventTimeline(EventBus& bus, std::size_t capacity = 8192);
+  static constexpr std::size_t kCapacity = 8192;
 
-  [[nodiscard]] const std::deque<Event>& events() const { return events_; }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  /// Events evicted by the capacity bound since the last clear().
-  [[nodiscard]] std::size_t dropped() const { return dropped_; }
-  [[nodiscard]] std::size_t count(EventType t) const;
-  /// Events of type `t` whose source matches `source_prefix` exactly or as
-  /// a '/'-delimited prefix.
-  [[nodiscard]] std::size_t count(EventType t,
-                                  std::string_view source_prefix) const;
-  void clear() {
-    events_.clear();
-    dropped_ = 0;
+  /// Stamp the next sequence number and record the event, evicting the
+  /// oldest one when the ring is full. `source` must outlive the timeline
+  /// (a literal or an Observability::intern() result).
+  void emit(sim::TimePoint time, EventType type, std::string_view source,
+            std::initializer_list<Field> fields);
+
+  /// The recorded events, oldest first. Reading rotates the ring in place
+  /// so that it starts at the oldest event; the order does not change.
+  [[nodiscard]] const std::deque<Event>& events() const;
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  /// Every event ever emitted, evicted ones included.
+  [[nodiscard]] std::uint64_t published() const { return published_; }
+  /// Events evicted by the capacity bound.
+  [[nodiscard]] std::uint64_t dropped() const {
+    return published_ - ring_.size();
   }
+  [[nodiscard]] std::size_t count(EventType t) const;
 
   /// Deterministic JSON array of Event::to_json() objects.
   [[nodiscard]] std::string to_json() const;
 
  private:
-  EventBus::Subscription sub_;
-  std::size_t capacity_;
-  std::deque<Event> events_;
-  std::size_t dropped_ = 0;
+  // Small blocks, not one vector: a 1.3 MB block is mmapped, and freeing
+  // it raises glibc's dynamic mmap threshold, which moves later large
+  // allocations onto the heap and made a process's peak RSS depend on how
+  // many worlds it had built before. Once full, slots are overwritten in
+  // place, so a steady-state emit allocates nothing.
+  mutable std::deque<Event> ring_;
+  mutable std::size_t oldest_ = 0;  // slot of the oldest event once full
+  std::uint64_t published_ = 0;
 };
 
 }  // namespace wam::obs

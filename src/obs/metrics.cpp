@@ -1,30 +1,8 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
-
 #include "obs/json.hpp"
-#include "util/assert.hpp"
 
 namespace wam::obs {
-
-// ------------------------------------------------------------ histogram ----
-
-Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)) {
-  WAM_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::record(double x) {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (count_ == 0 || x < min_) min_ = x;
-  if (count_ == 0 || x > max_) max_ = x;
-  ++count_;
-  sum_ += x;
-}
-
-// ------------------------------------------------------------- registry ----
 
 std::uint64_t& MetricRegistry::counter(const std::string& name) {
   return counters_[name];
@@ -32,14 +10,6 @@ std::uint64_t& MetricRegistry::counter(const std::string& name) {
 
 double& MetricRegistry::gauge(const std::string& name) {
   return gauges_[name];
-}
-
-Histogram& MetricRegistry::histogram(const std::string& name,
-                                     std::vector<double> upper_bounds) {
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(upper_bounds)))
-      .first->second;
 }
 
 void MetricRegistry::bind(Counter& c, const std::string& name) {
@@ -103,15 +73,6 @@ std::uint64_t MetricRegistry::sum(const std::string& pattern) const {
   return total;
 }
 
-std::vector<std::string> MetricRegistry::match(
-    const std::string& pattern) const {
-  std::vector<std::string> out;
-  for (const auto& [name, value] : counters_) {
-    if (name_matches(pattern, name)) out.push_back(name);
-  }
-  return out;
-}
-
 std::string MetricRegistry::to_json(const std::string& prefix) const {
   JsonWriter w;
   w.begin_object();
@@ -125,23 +86,6 @@ std::string MetricRegistry::to_json(const std::string& prefix) const {
   for (const auto& [name, value] : gauges_) {
     if (!name_matches(prefix, name)) continue;
     w.key(name).value(value);
-  }
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms_) {
-    if (!name_matches(prefix, name)) continue;
-    w.key(name).begin_object();
-    w.key("count").value(h.count());
-    w.key("sum").value(h.sum());
-    w.key("min").value(h.min());
-    w.key("max").value(h.max());
-    w.key("bounds").begin_array();
-    for (double b : h.bounds()) w.value(b);
-    w.end_array();
-    w.key("buckets").begin_array();
-    for (std::uint64_t c : h.counts()) w.value(c);
-    w.end_array();
-    w.end_object();
   }
   w.end_object();
   w.end_object();

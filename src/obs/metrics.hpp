@@ -1,5 +1,5 @@
-// MetricRegistry: one hierarchical namespace for every counter, gauge and
-// histogram in a simulation.
+// MetricRegistry: one hierarchical namespace for every counter and gauge
+// in a simulation.
 //
 // Metric names are '/'-separated paths scoped by subsystem and instance —
 // "wam/s3/acquires", "gcs/s1/views_installed", "net/frames_sent" — so a
@@ -22,7 +22,7 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace wam::obs {
 
@@ -109,34 +109,6 @@ class Gauge {
   double* cell_ = nullptr;
 };
 
-/// Fixed-bucket histogram: counts of samples <= each upper bound, plus an
-/// overflow bucket and count/sum/min/max. Buckets are chosen at creation
-/// (no dynamic resizing — exports stay deterministic and comparable).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> upper_bounds);
-
-  void record(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double min() const { return count_ > 0 ? min_ : 0; }
-  [[nodiscard]] double max() const { return count_ > 0 ? max_ : 0; }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// counts()[i] = samples <= bounds()[i]; counts().back() = overflow.
-  [[nodiscard]] const std::vector<std::uint64_t>& counts() const {
-    return counts_;
-  }
-
- private:
-  std::vector<double> bounds_;           // ascending upper bounds
-  std::vector<std::uint64_t> counts_;    // bounds_.size() + 1 (overflow)
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
-
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -147,9 +119,6 @@ class MetricRegistry {
   /// valid for the registry's lifetime (node-based storage).
   std::uint64_t& counter(const std::string& name);
   double& gauge(const std::string& name);
-  /// Get-or-create a histogram; `upper_bounds` applies on first creation.
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> upper_bounds);
 
   /// Attach a free-standing Counter/Gauge to a named cell; the current
   /// free-standing value folds into the cell so nothing is lost when a
@@ -166,14 +135,8 @@ class MetricRegistry {
   ///   * subtree prefix       — "wam/s3" (all metrics under that scope)
   ///   * '*' segment wildcard — "gcs/*/views_installed"
   [[nodiscard]] std::uint64_t sum(const std::string& pattern) const;
-  /// Counter names matching `pattern` (sorted; same matching rules).
-  [[nodiscard]] std::vector<std::string> match(
-      const std::string& pattern) const;
-
-  [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
-
-  /// Deterministic snapshot: {"counters":{...},"gauges":{...},
-  /// "histograms":{...}}, keys sorted (std::map order). A non-empty
+  /// Deterministic snapshot: {"counters":{...},"gauges":{...}}, keys
+  /// sorted (std::map order). A non-empty
   /// `prefix` restricts the export to that subtree.
   [[nodiscard]] std::string to_json(const std::string& prefix = "") const;
 
@@ -183,16 +146,15 @@ class MetricRegistry {
  private:
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 /// Back every field of a counter struct with the registry cell
 /// "<scope>/<field name>", as listed by the struct's static for_each.
 template <class Counters>
 void bind_counters(MetricRegistry& registry, Counters& counters,
-                   const std::string& scope) {
+                   std::string_view scope) {
   Counters::for_each(counters, [&](const char* name, Counter& c) {
-    registry.bind(c, scope + "/" + name);
+    registry.bind(c, std::string(scope) + "/" + name);
   });
 }
 

@@ -1,15 +1,18 @@
-// The one-stop observability context: a MetricRegistry plus an EventBus.
+// The one-stop observability context: a MetricRegistry plus the event
+// timeline.
 //
 // A simulation owns exactly one Observability; components receive a
 // pointer to it (plus their metric scope) through bind_observability().
 // Components keep working without one — their legacy counter structs then
-// count free-standing and no events are published — so unit tests can
+// count free-standing and no events are recorded — so unit tests can
 // build daemons bare while scenarios and benches get the full picture.
 #pragma once
 
+#include <functional>
+#include <initializer_list>
+#include <set>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -18,18 +21,26 @@ namespace wam::obs {
 
 struct Observability {
   MetricRegistry registry;
-  EventBus bus;
+  /// The simulation's one event recorder. The name stays `bus` because
+  /// bench/e2e reads `obs.bus.published()`.
+  EventTimeline bus;
 
-  /// Publish a structured event stamped with the given virtual time.
-  void emit(sim::TimePoint time, EventType type, std::string source,
-            std::vector<std::pair<std::string, std::string>> fields = {}) {
-    Event e;
-    e.time = time;
-    e.type = type;
-    e.source = std::move(source);
-    e.fields = std::move(fields);
-    bus.publish(std::move(e));
+  /// Record a structured event stamped with the given virtual time.
+  /// `source` must outlive this context: a literal or an intern() result.
+  void emit(sim::TimePoint time, EventType type, std::string_view source,
+            std::initializer_list<Field> fields = {}) {
+    bus.emit(time, type, source, fields);
   }
+
+  /// A copy of `name` that lives as long as this context, for event
+  /// sources and names: components intern their scope once at bind time,
+  /// because they die before the events that name them.
+  std::string_view intern(std::string_view name) {
+    return *names_.emplace(name).first;
+  }
+
+ private:
+  std::set<std::string, std::less<>> names_;  // node-based: views stay valid
 };
 
 }  // namespace wam::obs

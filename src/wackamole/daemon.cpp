@@ -63,14 +63,14 @@ Daemon::Daemon(sim::Scheduler& sched, Config config, gcs::Daemon& gcs,
 
 void Daemon::bind_observability(obs::Observability& obs, std::string scope) {
   obs_ = &obs;
-  obs_scope_ = std::move(scope);
+  obs_scope_ = obs.intern(scope);
   obs::bind_counters(obs.registry, counters_, obs_scope_);
 }
 
 void Daemon::emit(obs::EventType type,
-                  std::vector<std::pair<std::string, std::string>> fields) {
+                  std::initializer_list<obs::Field> fields) {
   if (obs_ == nullptr) return;
-  obs_->emit(sched_.now(), type, obs_scope_, std::move(fields));
+  obs_->emit(sched_.now(), type, obs_scope_, fields);
 }
 
 void Daemon::enter_state(WamState next) {
@@ -424,7 +424,7 @@ void Daemon::reallocate(Trigger trigger) {
     send_allocation(allocation, /*alloc=*/true);
     ++counters_.reallocations;
     emit(obs::EventType::kReallocation,
-         {{"groups", std::to_string(allocation.size())}, {"mode", mode}});
+         {{"groups", allocation.size()}, {"mode", mode}});
   } else {
     for (const auto& [pos, mi] : assignments) {
       pv_.table.set_owner(groups_.ids[pos], states[mi].id);
@@ -434,7 +434,7 @@ void Daemon::reallocate(Trigger trigger) {
     }
     ++counters_.reallocations;
     emit(obs::EventType::kReallocation,
-         {{"holes", std::to_string(assignments.size())}, {"mode", mode}});
+         {{"holes", assignments.size()}, {"mode", mode}});
   }
   log_.info("%s reallocation: %zu holes filled, table of %zu groups", mode,
             assignments.size(), pv_.table.size());
@@ -513,8 +513,7 @@ bool Daemon::run_balance() {
   }
   send_allocation(allocation, /*alloc=*/false);
   ++counters_.balance_rounds;
-  emit(obs::EventType::kBalanceRound,
-       {{"groups", std::to_string(allocation.size())}});
+  emit(obs::EventType::kBalanceRound, {{"groups", allocation.size()}});
   log_.info("representative: broadcasting balance (%zu groups)",
             allocation.size());
   return true;
@@ -638,7 +637,8 @@ void Daemon::acquire_group(std::uint32_t pos) {
   if (result.ok()) {
     forget_retry(OsOp::kAcquire, pos);
     ++counters_.acquires;
-    emit(obs::EventType::kVipAcquired, {{"group", name}});
+    emit(obs::EventType::kVipAcquired,
+         {{"group", obs::Interned{group_name(groups_.ids[pos])}}});
     log_.info("acquired VIP group %s", name);
     return;
   }
@@ -649,7 +649,8 @@ void Daemon::acquire_group(std::uint32_t pos) {
     // case the holder is mid-release.
     ++counters_.arp_conflicts;
     emit(obs::EventType::kArpConflict,
-         {{"group", name}, {"detail", result.detail}});
+         {{"group", obs::Interned{group_name(groups_.ids[pos])}},
+          {"detail", result.detail}});
     log_.warn("acquire of %s hit a duplicate address (%s): deferring to "
               "conflict resolution",
               name, result.detail);
@@ -673,7 +674,8 @@ void Daemon::release_group(std::uint32_t pos) {
       return;
     }
     ++counters_.releases;
-    emit(obs::EventType::kVipReleased, {{"group", name}});
+    emit(obs::EventType::kVipReleased,
+         {{"group", obs::Interned{group_name(groups_.ids[pos])}}});
     log_.info("released VIP group %s", name);
   }
   forget_retry(OsOp::kRelease, pos);
@@ -681,7 +683,7 @@ void Daemon::release_group(std::uint32_t pos) {
 
 void Daemon::release_everything(const char* cause) {
   emit(obs::EventType::kPanicRelease,
-       {{"cause", cause}, {"held", std::to_string(owned().size())}});
+       {{"cause", cause}, {"held", owned().size()}});
   for (auto pos : config_pos_) release_group(pos);
 }
 
@@ -757,7 +759,7 @@ void Daemon::fence_group(std::uint32_t pos, const std::string& reason) {
   if (fresh) {
     ++counters_.groups_fenced;
     emit(obs::EventType::kGroupFenced,
-         {{"group", name},
+         {{"group", obs::Interned{group_name(groups_.ids[pos])}},
           {"reason", reason},
           {"cooldown_ms",
            std::to_string(sim::to_millis(config_.quarantine_cooldown))}});
@@ -850,14 +852,16 @@ void Daemon::cooldown_tick(const std::string& name) {
   }
   quarantined_.erase(name);
   ++counters_.groups_unfenced;
-  emit(obs::EventType::kGroupUnfenced, {{"group", name}});
+  emit(obs::EventType::kGroupUnfenced,
+       {{"group", obs::Interned{group_name(id)}}});
   log_.info("quarantine of %s cleared: enforcement layer healthy again",
             name);
   bool claimed = false;
   if (ours_or_hole && result.ok() && ip_manager_.holds(id)) {
     pv_.table.set_owner(id, client_.self());
     ++counters_.acquires;
-    emit(obs::EventType::kVipAcquired, {{"group", name}});
+    emit(obs::EventType::kVipAcquired,
+         {{"group", obs::Interned{group_name(id)}}});
     claimed = true;
   }
   send_notify(name, false, "cooldown probe succeeded");
@@ -916,7 +920,7 @@ void Daemon::run_audit(AuditPoint point) {
   }
   emit(obs::EventType::kCorruptionDetected,
        {{"checks", checks},
-        {"count", std::to_string(findings.size())},
+        {"count", findings.size()},
         {"at", audit_point_name(point)}});
 
   if (point == AuditPoint::kShutdown) {
@@ -966,7 +970,7 @@ void Daemon::run_audit(AuditPoint point) {
     ++counters_.self_heals;
     emit(obs::EventType::kSelfHeal,
          {{"action", "drop-unknown-quarantine"},
-          {"groups", std::to_string(unknown_quarantine.size())}});
+          {"groups", unknown_quarantine.size()}});
   }
   if (!bogus.empty()) {
     // Identified corrupt entries: drop them, rebuild the derived state
@@ -979,7 +983,7 @@ void Daemon::run_audit(AuditPoint point) {
     pv_.table.rebuild();
     ++counters_.self_heals;
     emit(obs::EventType::kSelfHeal,
-         {{"action", "fence"}, {"groups", std::to_string(bogus.size())}});
+         {{"action", "fence"}, {"groups", bogus.size()}});
     for (auto id : bogus) {
       auto pos = groups_.position_of(id);
       WAM_ASSERT(pos.has_value());
@@ -1018,7 +1022,7 @@ void Daemon::resync_tick() {
   ++counters_.resyncs;
   ++counters_.self_heals;
   emit(obs::EventType::kSelfHeal,
-       {{"action", "resync"}, {"attempt", std::to_string(resync_attempts_)}});
+       {{"action", "resync"}, {"attempt", resync_attempts_}});
   log_.warn("resync: rejoining %s to rebuild state from the peers",
             config_.group);
   last_resync_at_ = sched_.now();

@@ -147,7 +147,7 @@ class Daemon {
   /// source (convention: "wam/s<N>"). Call before start().
   void bind_observability(obs::Observability& obs, std::string scope);
   [[nodiscard]] obs::Observability* observability() const { return obs_; }
-  [[nodiscard]] const std::string& obs_scope() const { return obs_scope_; }
+  [[nodiscard]] std::string_view obs_scope() const { return obs_scope_; }
 
   /// Connect to the local GCS daemon and join the wackamole group.
   void start();
@@ -275,8 +275,7 @@ class Daemon {
   void become_mature(const char* how);
   /// Switch the Figure-2 state machine, publishing a StateTransition event.
   void enter_state(WamState next);
-  void emit(obs::EventType type,
-            std::vector<std::pair<std::string, std::string>> fields = {});
+  void emit(obs::EventType type, std::initializer_list<obs::Field> fields = {});
 
   sim::Scheduler& sched_;
   Config config_;
@@ -347,7 +346,7 @@ class Daemon {
 
   WamCounters counters_;
   obs::Observability* obs_ = nullptr;
-  std::string obs_scope_;
+  std::string_view obs_scope_;  // interned in *obs_
 };
 
 }  // namespace wam::wackamole

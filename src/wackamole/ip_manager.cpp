@@ -21,14 +21,13 @@ void SimIpManager::set_router(int ifindex, net::Ipv4Address router_ip) {
 void SimIpManager::bind_observability(obs::Observability& obs,
                                       std::string scope) {
   obs_ = &obs;
-  obs_scope_ = std::move(scope);
+  obs_scope_ = obs.intern(scope);
+  obs.registry.bind(held_gauge_, scope + "/held_groups");
   update_held_gauge();
 }
 
 void SimIpManager::update_held_gauge() {
-  if (obs_ == nullptr) return;
-  obs_->registry.gauge(obs_scope_ + "/held_groups") =
-      static_cast<double>(held_.size());
+  held_gauge_.set(static_cast<double>(held_.size()));
 }
 
 void SimIpManager::add_notify_target(net::Ipv4Address ip) {
@@ -65,7 +64,8 @@ OsOpResult SimIpManager::acquire(const VipGroup& group) {
         if (obs_ != nullptr) {
           obs_->emit(host_.scheduler().now(), obs::EventType::kArpConflict,
                      obs_scope_,
-                     {{"group", group.name}, {"address", ip.to_string()}});
+                     {{"group", obs::Interned{group_name(group.id)}},
+                      {"address", ip}});
         }
         return OsOpResult::conflict("address " + ip.to_string() +
                                     " already in use");
@@ -96,8 +96,8 @@ OsOpResult SimIpManager::announce(const VipGroup& group) {
   if (obs_ != nullptr) {
     obs_->emit(host_.scheduler().now(), obs::EventType::kArpAnnounce,
                obs_scope_,
-               {{"group", group.name},
-                {"addresses", std::to_string(group.addresses.size())}});
+               {{"group", obs::Interned{group_name(group.id)}},
+                {"addresses", group.addresses.size()}});
   }
   for (const auto& [ip, ifindex] : group.addresses) {
     // Broadcast gratuitous ARP updates every host that already resolved the

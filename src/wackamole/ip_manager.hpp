@@ -122,8 +122,9 @@ class SimIpManager : public IpManager {
   std::map<net::Ipv4Address, sim::TimePoint> notify_targets_;  // ip -> seen
   sim::Duration notify_ttl_ = sim::kZero;
   GroupIdSet held_;  // its size is the held_groups gauge
+  obs::Gauge held_gauge_;
   obs::Observability* obs_ = nullptr;
-  std::string obs_scope_;
+  std::string_view obs_scope_;
 };
 
 /// Fault-injecting decorator around any IpManager, seeded from sim::Rng so

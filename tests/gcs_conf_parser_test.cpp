@@ -37,15 +37,15 @@ TEST(GcsConfParser, DefaultsAreSpreadDefaults) {
 }
 
 TEST(GcsConfParser, Errors) {
-  EXPECT_THROW(parse_config("Bogus = 1\n"), ConfigError);
-  EXPECT_THROW(parse_config("Port = 0\n"), ConfigError);
-  EXPECT_THROW(parse_config("Port = 99999\n"), ConfigError);
-  EXPECT_THROW(parse_config("Multicast = 10.0.0.1\n"), ConfigError);
-  EXPECT_THROW(parse_config("Ordering = sideways\n"), ConfigError);
-  EXPECT_THROW(parse_config("Heartbeat = fast\n"), ConfigError);
-  EXPECT_THROW(parse_config("Heartbeat = 5\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Bogus = 1\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Port = 0\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Port = 99999\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Multicast = 10.0.0.1\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Ordering = sideways\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Heartbeat = fast\n"), ConfigError);
+  EXPECT_THROW((void)parse_config("Heartbeat = 5\n"), ConfigError);
   // Validation: fault detection must exceed the heartbeat.
-  EXPECT_THROW(parse_config("FaultDetection = 1s\nHeartbeat = 2s\n"),
+  EXPECT_THROW((void)parse_config("FaultDetection = 1s\nHeartbeat = 2s\n"),
                ConfigError);
 }
 

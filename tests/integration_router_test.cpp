@@ -15,7 +15,9 @@ TEST(IntegrationRouter, ExactlyOneActiveRouter) {
   ASSERT_GE(active, 0) << "no or conflicting active router";
   EXPECT_TRUE(s.holds_whole_group(active));
   for (int i = 0; i < s.num_routers(); ++i) {
-    if (i != active) EXPECT_TRUE(s.holds_nothing(i));
+    if (i != active) {
+      EXPECT_TRUE(s.holds_nothing(i));
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 // resolved, sockets open, scheduler slab and per-burst containers warm)
 // costs four allocations: the caller's request payload and its frame block,
 // then the echo server's reply payload and its frame block. A log record,
-// an alias bind/unbind and an event delivery in steady state cost none.
+// an alias bind/unbind and an event emitted into a full timeline in steady
+// state cost none.
 // Counts are exact functions of the code, so a slide shows here long
 // before it shows in wall time.
 #include <gtest/gtest.h>
@@ -18,7 +19,7 @@
 #include "apps/echo.hpp"
 #include "net/fabric.hpp"
 #include "net/host.hpp"
-#include "obs/events.hpp"
+#include "obs/observability.hpp"
 #include "sim/log.hpp"
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
@@ -160,15 +161,26 @@ TEST(AliasAlloc, SteadyStateAliasChurnAllocatesNothing) {
   EXPECT_TRUE(host.owns_ip(Ipv4Address(10, 0, 0, 1)));
 }
 
-TEST(EventBusAlloc, PublishAllocatesNothingPerHandler) {
-  obs::EventBus bus;
-  int calls = 0;
-  auto a = bus.subscribe([&](const obs::Event&) { ++calls; });
-  auto b = bus.subscribe([&](const obs::Event&) { ++calls; });
+TEST(EventAlloc, SteadyStateEmitIntoAFullTimelineAllocatesNothing) {
+  obs::Observability obs;
+  const std::string_view wam = obs.intern("wam/s1");
+  const std::string_view ip = obs.intern("ip/s1");
+  const obs::Interned group{"10.0.0.100"};  // as group_name() returns it
+  const std::size_t addresses = 4;
+  auto emit_round = [&](std::int64_t t) {
+    const sim::TimePoint now{sim::Duration(t)};
+    obs.emit(now, obs::EventType::kStateTransition, wam,
+             {{"from", "GATHER"}, {"to", "RUN"}});
+    obs.emit(now, obs::EventType::kVipAcquired, wam, {{"group", group}});
+    obs.emit(now, obs::EventType::kArpAnnounce, ip,
+             {{"group", group}, {"addresses", addresses}});
+  };
+  std::int64_t t = 0;
+  while (obs.bus.dropped() == 0) emit_round(++t);
   const std::size_t before = g_allocations;
-  for (int i = 0; i < 100; ++i) bus.publish(obs::Event{});
+  for (int i = 0; i < 1000; ++i) emit_round(++t);
   EXPECT_EQ(g_allocations - before, 0u);
-  EXPECT_EQ(calls, 200);
+  EXPECT_EQ(obs.bus.size(), obs::EventTimeline::kCapacity);
 }
 
 }  // namespace

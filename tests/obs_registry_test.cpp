@@ -1,5 +1,5 @@
-// MetricRegistry: names, wildcard matching, bound-counter semantics,
-// histograms and the deterministic JSON export.
+// MetricRegistry: names, wildcard matching, bound-counter semantics and
+// the deterministic JSON export.
 #include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -45,10 +45,6 @@ TEST(MetricRegistry, WildcardSumAcrossDaemons) {
   EXPECT_EQ(reg.sum("wam/s1"), 102u);       // subtree
   EXPECT_EQ(reg.sum("wam/s2/acquires"), 3u);  // exact
   EXPECT_EQ(reg.sum("nothing/here"), 0u);
-
-  auto names = reg.match("wam/*/acquires");
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names.front(), "wam/s1/acquires");  // sorted
 }
 
 TEST(MetricRegistry, BoundCounterReadsAndWritesTheCell) {
@@ -82,40 +78,17 @@ TEST(MetricRegistry, GaugeBindAndValue) {
   EXPECT_DOUBLE_EQ(reg.gauge_value("x/level"), 2.0);
 }
 
-TEST(MetricRegistry, HistogramBucketsAndStats) {
-  MetricRegistry reg;
-  auto& h = reg.histogram("lat", {1.0, 10.0, 100.0});
-  h.record(0.5);
-  h.record(5.0);
-  h.record(5.0);
-  h.record(1000.0);  // overflow
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1010.5);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-  ASSERT_EQ(h.counts().size(), 4u);  // 3 bounds + overflow
-  EXPECT_EQ(h.counts()[0], 1u);
-  EXPECT_EQ(h.counts()[1], 2u);
-  EXPECT_EQ(h.counts()[2], 0u);
-  EXPECT_EQ(h.counts()[3], 1u);
-  // Re-requesting keeps the original bounds.
-  auto& again = reg.histogram("lat", {999.0});
-  EXPECT_EQ(&again, &h);
-  EXPECT_EQ(again.bounds().size(), 3u);
-}
-
 TEST(MetricRegistry, JsonExportRoundTripsAndFiltersByPrefix) {
   MetricRegistry reg;
   reg.counter("wam/s1/acquires") = 2;
   reg.counter("net/frames_sent") = 9;
   reg.gauge("ip/s1/held_groups") = 3.0;
-  reg.histogram("sim/latency", {1.0, 2.0}).record(1.5);
 
   auto doc = parse_json(reg.to_json());
   EXPECT_EQ(doc.at("counters").at("wam/s1/acquires").as_u64(), 2u);
   EXPECT_EQ(doc.at("counters").at("net/frames_sent").as_u64(), 9u);
   EXPECT_DOUBLE_EQ(doc.at("gauges").at("ip/s1/held_groups").number, 3.0);
-  EXPECT_EQ(doc.at("histograms").at("sim/latency").at("count").as_u64(), 1u);
+  EXPECT_EQ(doc.object.size(), 2u);  // counters and gauges, nothing else
 
   auto filtered = parse_json(reg.to_json("wam"));
   EXPECT_TRUE(filtered.at("counters").has("wam/s1/acquires"));

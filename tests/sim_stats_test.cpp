@@ -11,8 +11,8 @@ TEST(Stats, EmptyGuards) {
   Stats s;
   EXPECT_TRUE(s.empty());
   EXPECT_EQ(s.summary(), "n=0");
-  EXPECT_THROW(s.mean(), util::ContractViolation);
-  EXPECT_THROW(s.percentile(50), util::ContractViolation);
+  EXPECT_THROW((void)s.mean(), util::ContractViolation);
+  EXPECT_THROW((void)s.percentile(50), util::ContractViolation);
 }
 
 TEST(Stats, BasicMoments) {

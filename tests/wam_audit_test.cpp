@@ -255,7 +255,7 @@ TEST(SelfHeal, ResyncBackoffDoublesToTheCapAndResetsAfterAQuietCap) {
       if (!detected && e.type == obs::EventType::kCorruptionDetected) {
         detected = e.time;
       }
-      const auto* action = e.field("action");
+      const auto action = e.field("action");
       if (detected && e.type == obs::EventType::kSelfHeal && action &&
           *action == "resync") {
         return sim::to_millis(e.time - *detected);

@@ -15,7 +15,7 @@ gcs::MemberId member(int n) {
 
 MemberInfo info(int n, bool mature = true,
                 std::set<std::string> preferred = {}) {
-  return MemberInfo{member(n), mature, 1, std::move(preferred)};
+  return MemberInfo{member(n), mature, 1, std::move(preferred), {}};
 }
 
 std::vector<std::string> groups(int n) {

@@ -301,7 +301,7 @@ TEST(WamFallible, PanicReleaseEventCarriesCause) {
   auto panic_with_cause = [&](const char* cause) {
     for (const auto& e : s.timeline.events()) {
       if (e.type != obs::EventType::kPanicRelease) continue;
-      const auto* c = e.field("cause");
+      const auto c = e.field("cause");
       if (c && *c == cause) return true;
     }
     return false;

@@ -100,7 +100,7 @@ TEST(WamRepresentative, SameFinalAllocationAsDistributedMode) {
 /// A WamCluster whose daemons publish into one event timeline ("wam/s<N>").
 struct ObservedCluster : WamCluster {
   obs::Observability obs;
-  obs::EventTimeline timeline{obs.bus};
+  obs::EventTimeline& timeline = obs.bus;
 
   ObservedCluster(int n, wackamole::Config config) : WamCluster(n, config) {
     for (int i = 0; i < n; ++i) {
@@ -114,7 +114,7 @@ struct ObservedCluster : WamCluster {
     std::vector<std::string> out;
     for (const auto& e : timeline.events()) {
       if (e.time < since || e.type != obs::EventType::kReallocation) continue;
-      out.push_back(e.source + " " + *e.field("mode"));
+      out.push_back(std::string(e.source) + " " + *e.field("mode"));
     }
     return out;
   }

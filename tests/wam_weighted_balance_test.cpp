@@ -31,8 +31,8 @@ TEST(WeightedBalance, SharesProportionalToWeights) {
   auto all = groups(9);
   for (const auto& g : all) table.set_owner(g, member(1));
   std::vector<MemberInfo> members = {
-      MemberInfo{member(1), true, 2, {}},  // weight 2
-      MemberInfo{member(2), true, 1, {}},  // weight 1
+      MemberInfo{member(1), true, 2, {}, {}},  // weight 2
+      MemberInfo{member(2), true, 1, {}, {}},  // weight 1
   };
   auto allocation = wackamole::balance_ips(all, table, members);
   std::map<gcs::MemberId, int> load;
@@ -46,8 +46,8 @@ TEST(WeightedBalance, RemainderGoesToLargestFraction) {
   auto all = groups(10);
   for (const auto& g : all) table.set_owner(g, member(1));
   std::vector<MemberInfo> members = {
-      MemberInfo{member(1), true, 1, {}},
-      MemberInfo{member(2), true, 2, {}},
+      MemberInfo{member(1), true, 1, {}, {}},
+      MemberInfo{member(2), true, 2, {}, {}},
   };
   // 10 * 1/3 = 3.33, 10 * 2/3 = 6.67: remainder goes to member 2.
   auto allocation = wackamole::balance_ips(all, table, members);
@@ -62,8 +62,8 @@ TEST(WeightedBalance, EqualWeightsMatchUnweightedBehaviour) {
   auto all = groups(8);
   for (const auto& g : all) table.set_owner(g, member(1));
   std::vector<MemberInfo> members = {
-      MemberInfo{member(1), true, 3, {}},
-      MemberInfo{member(2), true, 3, {}},
+      MemberInfo{member(1), true, 3, {}, {}},
+      MemberInfo{member(2), true, 3, {}, {}},
   };
   auto allocation = wackamole::balance_ips(all, table, members);
   std::map<gcs::MemberId, int> load;
@@ -78,8 +78,8 @@ TEST(WeightedBalance, ReallocateFavoursBiggerServers) {
   VipTable table;
   auto all = groups(6);
   std::vector<MemberInfo> members = {
-      MemberInfo{member(1), true, 2, {}},
-      MemberInfo{member(2), true, 1, {}},
+      MemberInfo{member(1), true, 2, {}, {}},
+      MemberInfo{member(2), true, 1, {}, {}},
   };
   auto assignments = wackamole::reallocate_ips(all, table, members);
   std::map<gcs::MemberId, int> load;

@@ -86,8 +86,8 @@ TEST(WamWire, PeekTypeDispatch) {
 }
 
 TEST(WamWire, PeekRejectsGarbage) {
-  EXPECT_THROW(peek_type(util::Bytes{}), util::DecodeError);
-  EXPECT_THROW(peek_type(util::Bytes{0x63}), util::DecodeError);
+  EXPECT_THROW((void)peek_type(util::Bytes{}), util::DecodeError);
+  EXPECT_THROW((void)peek_type(util::Bytes{0x63}), util::DecodeError);
 }
 
 TEST(WamWire, DecodeWrongTypeThrows) {

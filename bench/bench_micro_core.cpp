@@ -6,11 +6,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "apps/cluster_scenario.hpp"
 #include "apps/echo.hpp"
 #include "gcs/message.hpp"
 #include "net/fabric.hpp"
@@ -19,6 +21,7 @@
 #include "sim/log.hpp"
 #include "sim/scheduler.hpp"
 #include "util/shared_bytes.hpp"
+#include "wackamole/audit.hpp"
 #include "wackamole/balance.hpp"
 #include "wackamole/group_ids.hpp"
 #include "wackamole/wire.hpp"
@@ -216,6 +219,36 @@ void BM_StateDecodeCold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StateDecodeCold)->Arg(256)->Arg(1024)->Arg(4096);
+
+// ---- State audit ----
+//
+// One clean audit point of a running daemon with V groups: the bounded
+// check every audit timer tick and message boundary runs (O(members) plus
+// one 64-group block). Its cost must not grow with V; a full O(V) sweep
+// would make the 4096 row about 16x the 256 one. The stable cluster is
+// built once per V, not once per benchmark run.
+void BM_StateAudit(benchmark::State& state) {
+  static std::map<int, std::unique_ptr<apps::ClusterScenario>> worlds;
+  const int vips = static_cast<int>(state.range(0));
+  auto& world = worlds[vips];
+  if (!world) {
+    apps::ClusterOptions opt;
+    opt.num_servers = 3;
+    opt.num_vips = vips;
+    opt.with_router = false;
+    world = std::make_unique<apps::ClusterScenario>(opt);
+    world->start();
+    if (!world->run_until_stable(sim::seconds(30.0))) {
+      state.SkipWithError("cluster did not stabilize");
+      return;
+    }
+  }
+  wackamole::StateAuditor auditor;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(auditor.check(world->wam(0)));
+  }
+}
+BENCHMARK(BM_StateAudit)->Arg(256)->Arg(4096);
 
 // One log record as a host writes it per VIP ("alias + %s on if%d"):
 // level check, argument capture into a reused ring slot, no formatting.

@@ -167,14 +167,7 @@ int main(int argc, char** argv) {
 
   std::vector<wam::chaos::SeedJob> work;
   for (std::uint64_t seed = cli.first_seed; seed <= last_seed; ++seed) {
-    for (auto profile : profiles) {
-      auto opts = cli.campaign;
-      if (profile == wam::chaos::Profile::kRouter &&
-          cli.campaign.generator.num_servers > 4) {
-        opts.generator.num_servers = 3;  // paper-sized router deployments
-      }
-      work.push_back({seed, profile, opts});
-    }
+    for (auto profile : profiles) work.push_back({seed, profile, cli.campaign});
   }
 
   // Results come back in job order whatever the thread count, so the

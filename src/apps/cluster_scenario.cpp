@@ -115,7 +115,6 @@ ClusterScenario::ClusterScenario(ClusterOptions options)
     config.maturity_timeout = options_.maturity_timeout;
     config.announce_interval = options_.announce_interval;
     config.quarantine_cooldown = options_.quarantine_cooldown;
-    config.audit_interval = options_.audit_interval;
     config.resync_delay = options_.resync_delay;
     config.resync_backoff_max = options_.resync_backoff_max;
     auto wamd = std::make_unique<wackamole::Daemon>(sched, config, *gcsd,

@@ -52,10 +52,8 @@ struct ClusterOptions {
   sim::Duration announce_interval = sim::kZero;
   /// Self-fence cooldown before a daemon re-probes its enforcement layer.
   sim::Duration quarantine_cooldown = sim::seconds(30.0);
-  /// Wackamole self-stabilization knobs (Config::audit_interval & co);
-  /// zero keeps auditing off so historical seeds replay byte-identically.
-  /// GCS-side view auditing is configured via `gcs.audit_interval`.
-  sim::Duration audit_interval = sim::kZero;
+  /// Wackamole resync timings (Config::resync_delay & co). Both daemons
+  /// audit always, every gcs::kAuditPeriod.
   sim::Duration resync_delay = sim::seconds(1.0);
   sim::Duration resync_backoff_max = sim::seconds(30.0);
   /// Shard count (conservative PDES, sim/shard.hpp), >= 1. N = 1 is the

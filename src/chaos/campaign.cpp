@@ -221,12 +221,10 @@ std::vector<Violation> execute_cluster(const FaultSchedule& schedule,
     copts.announce_interval = sim::seconds(2.0);
   }
   if (schedule.state_faults) {
-    // Detection and healing must also complete within the window: audit
-    // every 250 ms, resync after 500 ms with the backoff capped at 4 s.
-    copts.audit_interval = sim::milliseconds(250);
+    // Healing must also complete within the window: resync after 500 ms
+    // with the backoff capped at 4 s.
     copts.resync_delay = sim::milliseconds(500);
     copts.resync_backoff_max = sim::seconds(4.0);
-    copts.gcs.audit_interval = sim::milliseconds(250);
   }
   apps::ClusterScenario s(copts);
   s.start();

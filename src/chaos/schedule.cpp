@@ -409,7 +409,10 @@ FaultSchedule generate_cluster_schedule(sim::Rng& rng,
 FaultSchedule generate_router_schedule(sim::Rng& rng,
                                        const GeneratorOptions& opt) {
   WAM_EXPECTS(opt.num_servers >= 2);
-  const int n = opt.num_servers;
+  // Paper-sized router deployments: a cluster-sized server count (the
+  // default 5) runs three routers, so "router seed N" is one world from
+  // every entry point.
+  const int n = opt.num_servers > 4 ? 3 : opt.num_servers;
   FaultSchedule s;
   s.num_servers = n;
   s.num_vips = 1;  // one indivisible virtual-router group

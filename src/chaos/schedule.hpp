@@ -104,10 +104,10 @@ struct FaultSchedule {
   /// quarantine cooldown and enables periodic announces so fence/unfence
   /// cycles complete within a quiescence window.
   bool os_faults = false;
-  /// Generated with state-corruption faults: the executor enables the
-  /// wackamole StateAuditor and the GCS ViewAuditor (plus fast resync
-  /// backoff) so detection and healing complete within a quiescence
-  /// window, and the ReconvergenceOracle tracks every applied injection.
+  /// Generated with state-corruption faults: the executor shortens the
+  /// resync delay and its backoff cap so healing completes within a
+  /// quiescence window (the auditors run in every world), and the
+  /// ReconvergenceOracle tracks every applied injection.
   bool state_faults = false;
   std::vector<FaultAction> actions;      // sorted by `at`, strictly increasing
   std::vector<Checkpoint> checkpoints;   // sorted by `at`
@@ -115,7 +115,7 @@ struct FaultSchedule {
 };
 
 struct GeneratorOptions {
-  int num_servers = 5;   // routers for the router profile
+  int num_servers = 5;   // routers for the router profile (5+: three)
   int num_vips = 7;
   int rounds = 4;        // storm/quiesce/checkpoint cycles
   sim::Duration quiesce = sim::seconds(12.0);

@@ -1,5 +1,6 @@
 // Self-stabilization, GCS side: a shadow copy of the installed daemon view
-// plus an epoch high-water mark, checked against the live view on a timer.
+// plus an epoch high-water mark, checked against the live view every
+// kAuditPeriod and at the heartbeat boundary.
 //
 // The membership view is the root of everything Wackamole derives (ranks,
 // representatives, staleness tags); a transient flip of the view id or the
@@ -15,8 +16,13 @@
 #include <string>
 
 #include "gcs/types.hpp"
+#include "sim/time.hpp"
 
 namespace wam::gcs {
+
+/// Period of both daemons' audit timers: this ViewAuditor's and the
+/// wackamole StateAuditor's. Audits always run; there is no switch.
+inline constexpr sim::Duration kAuditPeriod = sim::milliseconds(250);
 
 enum class ViewCheck {
   /// Live view id disagrees with the shadow recorded at install.

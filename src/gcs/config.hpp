@@ -36,10 +36,9 @@ enum class OrderingEngine : std::uint8_t {
 struct Config {
   sim::Duration fault_detection_timeout = sim::seconds(5.0);
   sim::Duration heartbeat_timeout = sim::seconds(2.0);  // "distributed heartbeat"
+  /// Also how long the coordinator waits for ACCEPTs / members wait for
+  /// the INSTALL before restarting discovery.
   sim::Duration discovery_timeout = sim::seconds(7.0);
-  /// How long the coordinator waits for ACCEPTs / members wait for the
-  /// INSTALL before restarting discovery. Zero = use discovery_timeout.
-  sim::Duration install_timeout = sim::kZero;
   /// Delay before NACKing a sequence gap (lets reordered frames land).
   sim::Duration nack_delay = sim::milliseconds(5);
   std::uint16_t port = 4803;
@@ -49,12 +48,6 @@ struct Config {
   /// frames. Zero (default) = broadcast.
   net::Ipv4Address multicast_group;
 
-  /// Period of the ViewAuditor sweep (self-stabilization): the live view
-  /// is compared against a shadow copy recorded at install time, and a
-  /// divergence heals by restoring the shadow and re-entering discovery
-  /// with a fresh incarnation. Zero (default) disables auditing.
-  sim::Duration audit_interval = sim::kZero;
-
   OrderingEngine ordering = OrderingEngine::kSequencer;
   /// Token ring: minimum hold time per hop (paces rotation).
   sim::Duration token_hold = sim::milliseconds(2);
@@ -62,10 +55,6 @@ struct Config {
   sim::Duration token_retry = sim::milliseconds(50);
   /// Token ring: max messages broadcast per token hold (flow control).
   int token_window = 64;
-
-  [[nodiscard]] sim::Duration effective_install_timeout() const {
-    return install_timeout == sim::kZero ? discovery_timeout : install_timeout;
-  }
 
   /// Table 1, "Default Spread" column: 5 / 2 / 7 seconds.
   static Config spread_default();

@@ -756,7 +756,7 @@ void Daemon::discovery_deadline() {
       broadcast(Propose{proposal, known_});
       install_deadline_timer_.cancel();
       install_deadline_timer_ = host_.scheduler().schedule(
-          config_.effective_install_timeout(), [this] { install_deadline(); });
+          config_.discovery_timeout, [this] { install_deadline(); });
     }
     on_accept(make_own_accept(proposal));
   } else {
@@ -764,7 +764,7 @@ void Daemon::discovery_deadline() {
     coordinator_ = false;
     install_deadline_timer_.cancel();
     install_deadline_timer_ = host_.scheduler().schedule(
-        config_.effective_install_timeout(), [this] { install_deadline(); });
+        config_.discovery_timeout, [this] { install_deadline(); });
   }
 }
 
@@ -815,7 +815,7 @@ void Daemon::send_accept(const ViewId& proposal, DaemonId coordinator) {
   state_ = State::kAwaitInstall;
   install_deadline_timer_.cancel();
   install_deadline_timer_ = host_.scheduler().schedule(
-      config_.effective_install_timeout(), [this] { install_deadline(); });
+      config_.discovery_timeout, [this] { install_deadline(); });
   Accept a = make_own_accept(proposal);
   log_.debug("accepting proposal %s", proposal);
   unicast(coordinator, a);
@@ -1157,9 +1157,8 @@ MemberId Daemon::member_id(std::uint32_t client) const {
 // --------------------------------- self-stabilization: view audit / heal ----
 
 void Daemon::arm_audit_timer() {
-  if (config_.audit_interval == sim::kZero) return;
   audit_timer_.cancel();
-  audit_timer_ = host_.scheduler().schedule(config_.audit_interval,
+  audit_timer_ = host_.scheduler().schedule(kAuditPeriod,
                                             [this] { audit_tick(); });
 }
 

@@ -56,12 +56,50 @@ std::vector<AuditFinding> StateAuditor::audit(const Daemon& daemon) {
   }
 
   for (const auto& name : daemon.quarantined_groups()) {
-    if (daemon.config().find_group(name) == nullptr) {
+    if (!daemon.configured(name)) {
       out.push_back({AuditCheck::kQuarantineUnknown, name,
                      "quarantined group is not configured"});
     }
   }
   return out;
+}
+
+bool StateAuditor::check(const Daemon& daemon) {
+  const auto& table = daemon.table();
+  const auto& view = daemon.view();
+  if (view && daemon.view_tag() != ViewTag::of(*view)) return false;
+  if (!table.index_count_agrees()) return false;
+  for (const auto& name : daemon.quarantined_groups()) {
+    if (!daemon.configured(name)) return false;
+  }
+  if (view) {
+    // Refresh the in-view flags: all of them for a new view, and each
+    // table member whose identity differs from the one it was computed
+    // for (the table only appends members until its next clear()).
+    if (view_ != ViewTag::of(*view)) {
+      view_ = ViewTag::of(*view);
+      owners_.clear();
+    }
+    for (std::size_t i = 0; i < table.member_count(); ++i) {
+      const auto m = table.member_at(i);
+      if (i == owners_.size() || owners_[i].daemon != m.daemon ||
+          owners_[i].client != m.client) {
+        const Owner o{m.daemon, m.client, view->rank_of(m) >= 0};
+        if (i == owners_.size()) {
+          owners_.push_back(o);
+        } else {
+          owners_[i] = o;
+        }
+      }
+      if (!owners_[i].in_view && table.indexed_by(i) > 0) return false;
+    }
+  }
+  auto owner_ok = [&](std::size_t i) { return !view || owners_[i].in_view; };
+  if (!table.verify_block(table.blocks(), owner_ok)) return false;
+  if (table.blocks() == 0) return true;
+  const auto b = next_block_ % table.blocks();
+  next_block_ = b + 1;
+  return table.verify_block(b, owner_ok);
 }
 
 }  // namespace wam::wackamole

@@ -50,41 +50,6 @@ struct MemberInfo {
   std::set<std::string> quarantined;
 };
 
-/// The complete VIP set in dense, name-sorted positional form. Built once
-/// per configuration (the VIP list only changes on reconfig) and shared by
-/// every allocation round. Positions — not GroupIds — are the working
-/// currency of the fast path: position order IS name order, so iterating
-/// positions yields the same deterministic sequence the reference
-/// implementations got from sorting strings.
-struct GroupSet {
-  explicit GroupSet(const std::vector<std::string>& group_names);
-
-  std::vector<std::string> names;  ///< name-sorted (duplicates preserved)
-  std::vector<GroupId> ids;        ///< ids[pos] interned from names[pos]
-  /// canonical[pos] is the first position carrying the same name; equal to
-  /// pos whenever names are unique. Preference/quarantine position sets
-  /// store canonical positions only.
-  std::vector<std::uint32_t> canonical;
-
-  [[nodiscard]] std::size_t size() const { return names.size(); }
-  /// Position of an interned group id, or nullopt if not in this set. O(1):
-  /// one load from a vector indexed by id.
-  [[nodiscard]] std::optional<std::uint32_t> position_of(GroupId id) const {
-    if (id >= pos_.size() || pos_[id] == kAbsent) return std::nullopt;
-    return pos_[id];
-  }
-  /// Position of `name` (binary search; the canonical, first occurrence),
-  /// or nullopt if not in this set.
-  [[nodiscard]] std::optional<std::uint32_t> position_of_name(
-      std::string_view name) const;
-
- private:
-  static constexpr std::uint32_t kAbsent = UINT32_MAX;
-  /// pos_[id] = canonical position of `id`, kAbsent if not in the set;
-  /// sized to the largest id in the set.
-  std::vector<std::uint32_t> pos_;
-};
-
 /// MemberInfo translated onto a GroupSet: preference and quarantine sets
 /// become sorted canonical-position vectors, queried by binary search.
 struct MemberState {

@@ -90,11 +90,7 @@ struct Config {
   sim::Duration quarantine_cooldown = sim::seconds(30.0);
 
   // ---- Self-stabilization (state audit / recovery) ----
-  /// Period of the StateAuditor sweep over the daemon's hot state. Zero
-  /// (the default) disables auditing entirely — both the timer and the
-  /// protocol-message-boundary checks — so pre-existing pinned seeds
-  /// replay byte-identically.
-  sim::Duration audit_interval = sim::kZero;
+  // The StateAuditor always runs, every gcs::kAuditPeriod (audit.hpp).
   /// Base delay before a corruption-triggered resync (leave + rejoin of
   /// the group to rebuild state from peers' STATE_MSGs). Consecutive
   /// resyncs back off exponentially from this base...

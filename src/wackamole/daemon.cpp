@@ -58,6 +58,7 @@ Daemon::Daemon(sim::Scheduler& sched, Config config, gcs::Daemon& gcs,
     config_pos_.push_back(pos);
     group_at_[pos] = &g;
   }
+  pv_.table.set_layout(groups_);
   set_preferences(config_.preferred);
 }
 
@@ -103,7 +104,7 @@ void Daemon::start() {
   arm(maturity_timer_, config_.maturity_timeout, &Daemon::maturity_tick);
   arm(arp_share_timer_, config_.arp_share_interval, &Daemon::arp_share_tick);
   arm(announce_timer_, config_.announce_interval, &Daemon::announce_tick);
-  arm(audit_timer_, config_.audit_interval, &Daemon::audit_tick);
+  arm(audit_timer_, gcs::kAuditPeriod, &Daemon::audit_tick);
   log_.info("wackamole starting (%s)", mature_ ? "mature" : "immature");
 }
 
@@ -148,10 +149,6 @@ std::vector<std::string> Daemon::owned() const {
     if (ip_manager_.holds(groups_.ids[p])) out.push_back(groups_.names[p]);
   }
   return out;
-}
-
-std::vector<std::string> Daemon::quarantined_groups() const {
-  return {quarantined_.begin(), quarantined_.end()};
 }
 
 bool Daemon::is_representative() const {
@@ -885,15 +882,15 @@ const char* Daemon::audit_point_name(AuditPoint point) {
 void Daemon::audit_tick() {
   if (!running_) return;
   run_audit(AuditPoint::kTimer);
-  arm(audit_timer_, config_.audit_interval, &Daemon::audit_tick);
+  arm(audit_timer_, gcs::kAuditPeriod, &Daemon::audit_tick);
 }
 
 void Daemon::run_audit(AuditPoint point) {
-  // Zero interval disables auditing entirely (timer AND boundary checks),
-  // keeping pre-existing pinned seeds byte-identical.
-  if (config_.audit_interval == sim::kZero) return;
   if (!running_ || in_audit_) return;
-  auto findings = StateAuditor::audit(*this);
+  // The bounded check runs at every point; the full sweep only when it
+  // sees something wrong, and the full sweep's findings drive the heals.
+  std::vector<AuditFinding> findings;
+  if (!auditor_.check(*this)) findings = StateAuditor::audit(*this);
   if (findings.empty()) {
     // A clean timer sweep a full cap-period after the last resync resets
     // the backoff: the next isolated corruption gets the fast base delay

@@ -57,6 +57,7 @@
 #include "obs/observability.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
+#include "wackamole/audit.hpp"
 #include "wackamole/balance.hpp"
 #include "wackamole/config.hpp"
 #include "wackamole/ip_manager.hpp"
@@ -178,12 +179,18 @@ class Daemon {
   [[nodiscard]] std::vector<std::string> owned() const;
   /// Groups this daemon has self-fenced (NOTIFY protocol): their OS-level
   /// acquisition kept failing and a peer is expected to cover them. Sorted.
-  [[nodiscard]] std::vector<std::string> quarantined_groups() const;
+  [[nodiscard]] const std::set<std::string>& quarantined_groups() const {
+    return quarantined_;
+  }
   [[nodiscard]] bool quarantined(const std::string& group) const {
     return quarantined_.count(group) > 0;
   }
   [[nodiscard]] const WamCounters& counters() const { return counters_; }
   [[nodiscard]] const Config& config() const { return config_; }
+  /// Whether `group` is one of the configured VIP groups — O(log V).
+  [[nodiscard]] bool configured(std::string_view group) const {
+    return groups_.position_of_name(group).has_value();
+  }
   [[nodiscard]] bool is_representative() const;
   [[nodiscard]] std::optional<gcs::MemberId> self() const;
 
@@ -336,8 +343,9 @@ class Daemon {
   sim::TimerHandle arp_share_timer_;
   sim::TimerHandle announce_timer_;
   sim::TimerHandle reconnect_timer_;
-  sim::TimerHandle audit_timer_;
+  sim::TimerHandle audit_timer_;  // every gcs::kAuditPeriod
   sim::TimerHandle resync_timer_;
+  StateAuditor auditor_;
   bool in_audit_ = false;       // reentrancy guard: heals multicast
   bool resync_pending_ = false;
   int resync_attempts_ = 0;     // drives the capped exponential backoff

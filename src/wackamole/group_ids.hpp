@@ -1,4 +1,5 @@
-// Process-wide VIP-group-name interning.
+// Process-wide VIP-group-name interning, and GroupSet: one configured
+// VIP set in name order over the interned ids.
 //
 // The protocol layer identifies VIP groups by dense u32 GroupIds instead of
 // strings. Because ids are dense (0, 1, 2, ... in first-intern order),
@@ -96,6 +97,41 @@ class GroupIdSet {
  private:
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
+};
+
+/// The complete VIP set in dense, name-sorted positional form. Built once
+/// per configuration (the VIP list only changes on reconfig) and shared by
+/// every allocation round. Positions — not GroupIds — are the working
+/// currency of the fast path: position order IS name order, so iterating
+/// positions yields the same deterministic sequence the reference
+/// implementations got from sorting strings.
+struct GroupSet {
+  explicit GroupSet(const std::vector<std::string>& group_names);
+
+  std::vector<std::string> names;  ///< name-sorted (duplicates preserved)
+  std::vector<GroupId> ids;        ///< ids[pos] interned from names[pos]
+  /// canonical[pos] is the first position carrying the same name; equal to
+  /// pos whenever names are unique. Preference/quarantine position sets
+  /// store canonical positions only.
+  std::vector<std::uint32_t> canonical;
+
+  [[nodiscard]] std::size_t size() const { return names.size(); }
+  /// Position of an interned group id, or nullopt if not in this set. O(1):
+  /// one load from a vector indexed by id.
+  [[nodiscard]] std::optional<std::uint32_t> position_of(GroupId id) const {
+    if (id >= pos_.size() || pos_[id] == kAbsent) return std::nullopt;
+    return pos_[id];
+  }
+  /// Position of `name` (binary search; the canonical, first occurrence),
+  /// or nullopt if not in this set.
+  [[nodiscard]] std::optional<std::uint32_t> position_of_name(
+      std::string_view name) const;
+
+ private:
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+  /// pos_[id] = canonical position of `id`, kAbsent if not in the set;
+  /// sized to the largest id in the set.
+  std::vector<std::uint32_t> pos_;
 };
 
 }  // namespace wam::wackamole

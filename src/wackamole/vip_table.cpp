@@ -1,18 +1,8 @@
 #include "wackamole/vip_table.hpp"
 
-namespace wam::wackamole {
+#include "util/assert.hpp"
 
-std::uint64_t VipTable::entry_hash(GroupId id, Slot s) const {
-  // Identity fields only (daemon ip, client id) — matches operator== and
-  // MemberIdHash; the informational name must not perturb the checksum.
-  const auto& m = members_[s.member - 1];
-  std::uint64_t h = (static_cast<std::uint64_t>(m.daemon.value()) << 32) |
-                    static_cast<std::uint64_t>(m.client);
-  h ^= 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(id) + 1);
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  return h;
-}
+namespace wam::wackamole {
 
 std::uint32_t VipTable::find_member(const gcs::MemberId& member) const {
   std::uint32_t i = 0;
@@ -62,15 +52,9 @@ void VipTable::set_owner(GroupId id, const gcs::MemberId& member) {
     s.name = next.name;  // refresh the informational name
     return;
   }
-  if (s.member != 0) {
-    unlink(id, s);
-    checksum_ ^= entry_hash(id, s);
-  } else {
-    ++size_;
-  }
+  if (s.member != 0) leave(id, s);
   s = next;
-  checksum_ ^= entry_hash(id, s);
-  link(id, s);
+  enter(id, s);
 }
 
 void VipTable::clear_owner(const std::string& group) {
@@ -81,9 +65,52 @@ void VipTable::clear_owner(const std::string& group) {
 void VipTable::clear_owner(GroupId id) {
   if (id >= slots_.size() || slots_[id].member == 0) return;
   Slot& s = slots_[id];
-  unlink(id, s);
-  checksum_ ^= entry_hash(id, s);
+  leave(id, s);
   s = Slot{};
+}
+
+void VipTable::set_layout(const GroupSet& groups) {
+  WAM_EXPECTS(size_ == 0);
+  // One position per group: a block holds each of its groups once.
+  for (std::uint32_t p = 0; p < groups.size(); ++p) {
+    WAM_EXPECTS(groups.canonical[p] == p);
+  }
+  layout_ = &groups;
+  block_sums_.assign((groups.size() + kBlockSize - 1) / kBlockSize, 0);
+}
+
+std::uint64_t VipTable::checksum() const {
+  std::uint64_t sum = outside_sum_;
+  for (auto b : block_sums_) sum ^= b;
+  return sum;
+}
+
+std::size_t VipTable::block_of(GroupId id) const {
+  const auto pos = layout_ == nullptr ? std::nullopt : layout_->position_of(id);
+  return pos ? *pos / kBlockSize : blocks();
+}
+
+void VipTable::enter(GroupId id, Slot s) {
+  const auto b = block_of(id);
+  if (b == blocks()) {
+    outside_sum_ ^= entry_hash(id, s);
+    outside_.insert(id);
+  } else {
+    block_sums_[b] ^= entry_hash(id, s);
+  }
+  link(id, s);
+  ++size_;
+}
+
+void VipTable::leave(GroupId id, Slot s) {
+  const auto b = block_of(id);
+  if (b == blocks()) {
+    outside_sum_ ^= entry_hash(id, s);
+    outside_.erase(id);
+  } else {
+    block_sums_[b] ^= entry_hash(id, s);
+  }
+  unlink(id, s);
   --size_;
 }
 
@@ -134,9 +161,7 @@ VipTable::ClaimResult VipTable::claim(GroupId id, const gcs::MemberId& claimant,
   Slot& s = slot(id);
   if (s.member == 0) {
     s = next;
-    ++size_;
-    checksum_ ^= entry_hash(id, s);
-    link(id, s);
+    enter(id, s);
     return {true, std::nullopt};
   }
   if (s.member == next.member) return {true, std::nullopt};
@@ -144,10 +169,9 @@ VipTable::ClaimResult VipTable::claim(GroupId id, const gcs::MemberId& claimant,
   // Conflict: the member later in the uniquely ordered list keeps the group.
   auto existing = member_of(s);
   if (view.rank_of(claimant) > view.rank_of(existing)) {
-    unlink(id, s);
-    checksum_ ^= entry_hash(id, s) ^ entry_hash(id, next);
+    leave(id, s);
     s = next;
-    link(id, s);
+    enter(id, s);
     return {true, std::move(existing)};
   }
   return {false, claimant};
@@ -160,7 +184,13 @@ bool VipTable::verify_checksum() const {
       expect ^= entry_hash(static_cast<GroupId>(id), slots_[id]);
     }
   }
-  return expect == checksum_;
+  return expect == checksum();
+}
+
+bool VipTable::index_count_agrees() const {
+  std::size_t indexed = 0;
+  for (const auto& m : members_) indexed += m.groups.size();
+  return indexed == size_;
 }
 
 bool VipTable::verify_index() const {
@@ -177,11 +207,12 @@ bool VipTable::verify_index() const {
 
 void VipTable::rebuild() {
   for (auto& m : members_) m.groups.clear();
-  checksum_ = 0;
+  size_ = 0;
+  std::fill(block_sums_.begin(), block_sums_.end(), 0);
+  outside_.clear();
+  outside_sum_ = 0;
   for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].member == 0) continue;
-    link(static_cast<GroupId>(id), slots_[id]);
-    checksum_ ^= entry_hash(static_cast<GroupId>(id), slots_[id]);
+    if (slots_[id].member != 0) enter(static_cast<GroupId>(id), slots_[id]);
   }
 }
 

@@ -15,6 +15,11 @@
 // is sorted by group NAME — GroupIds are process-local first-use ids and
 // must never order deterministic output; for_each_owner() visits in
 // ascending id order and its callers sort.
+//
+// The guard for the self-stabilization layer is an XOR checksum per block
+// of 64 groups, in the name order of the daemon's GroupSet (set_layout),
+// so an audit point can verify one block in O(64) instead of the whole
+// table (see audit.hpp).
 #pragma once
 
 #include <algorithm>
@@ -42,12 +47,15 @@ struct MemberIdHash {
 
 class VipTable {
  public:
+  /// Empties the table; the audit layout stays.
   void clear() {
     std::fill(slots_.begin(), slots_.end(), Slot{});
     members_.clear();
     names_.clear();
     size_ = 0;
-    checksum_ = 0;
+    std::fill(block_sums_.begin(), block_sums_.end(), 0);
+    outside_.clear();
+    outside_sum_ = 0;
   }
 
   // ---- Name-keyed API (config-parse / test boundary) ----
@@ -103,14 +111,64 @@ class VipTable {
   [[nodiscard]] std::string describe() const;
 
   // ---- Guarded-state hooks (self-stabilization layer) ----
-  /// Incrementally maintained XOR checksum over every (group, owner)
-  /// entry. O(1) to read; any single corrupted entry flips it.
-  [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
+  /// Entries per checksum block.
+  static constexpr std::size_t kBlockSize = 64;
+  /// Lay the checksum blocks out over `groups`: block b folds the entries
+  /// of positions [64b, 64b + 64), and one more block, numbered blocks(),
+  /// folds every entry outside the set. Positions are name order, so every
+  /// process audits the same groups at the same audit point whatever its
+  /// GroupIds. Call on an empty table; clear() and copies keep the layout,
+  /// and `groups` must outlive them. Without a layout every entry is
+  /// outside.
+  void set_layout(const GroupSet& groups);
+  /// Number of layout blocks (the outside block not counted).
+  [[nodiscard]] std::size_t blocks() const { return block_sums_.size(); }
+  /// XOR checksum over every (group, owner) entry, kept per block and
+  /// updated on every write; any single corrupted entry flips it.
+  [[nodiscard]] std::uint64_t checksum() const;
   /// Recompute the checksum from the owner slots and compare — O(V).
   [[nodiscard]] bool verify_checksum() const;
   /// Recompute the member->groups index from the owner slots and compare —
   /// O(V). Detects index drift that the checksum (slots-only) cannot see.
   [[nodiscard]] bool verify_index() const;
+  /// The index holds exactly size() entries — O(members). With every
+  /// entry indexed under its owner (verify_block), this makes the index
+  /// agree with the slots.
+  [[nodiscard]] bool index_count_agrees() const;
+  /// Table members: every owner named since the last clear(), in first-use
+  /// order. member_at(i) carries the identity fields only.
+  [[nodiscard]] std::size_t member_count() const { return members_.size(); }
+  [[nodiscard]] gcs::MemberId member_at(std::size_t i) const {
+    return gcs::MemberId{members_[i].daemon, members_[i].client, {}};
+  }
+  /// Groups indexed under member i — O(1).
+  [[nodiscard]] std::size_t indexed_by(std::size_t i) const {
+    return members_[i].groups.size();
+  }
+  /// Verify block `b` alone (b == blocks(): the entries outside the
+  /// layout): recompute its checksum and compare, and check that each of
+  /// its entries is indexed under its owner and that owner_ok(owner's
+  /// member index) holds. O(64) for a layout block.
+  template <class OwnerOk>
+  [[nodiscard]] bool verify_block(std::size_t b, OwnerOk&& owner_ok) const {
+    std::uint64_t sum = 0;
+    bool agree = true;
+    auto check = [&](GroupId id) {
+      if (id >= slots_.size() || slots_[id].member == 0) return;
+      const Slot s = slots_[id];
+      sum ^= entry_hash(id, s);
+      agree &= members_[s.member - 1].groups.contains(id) &
+               owner_ok(std::size_t{s.member} - 1);
+    };
+    if (b == blocks()) {
+      outside_.for_each(check);
+      return agree && sum == outside_sum_;
+    }
+    const std::size_t end = std::min(layout_->size(), (b + 1) * kBlockSize);
+    const GroupId* ids = layout_->ids.data();
+    for (std::size_t p = b * kBlockSize; p < end; ++p) check(ids[p]);
+    return agree && sum == block_sums_[b];
+  }
   /// Discard and rebuild the derived state (index + checksum) from the
   /// owner slots. The slots themselves are the recovery root here; entries
   /// that are wrong against the VIEW are the daemon's job to fence.
@@ -148,14 +206,34 @@ class VipTable {
   Slot& slot(GroupId id);
   void link(GroupId id, Slot s) { members_[s.member - 1].groups.insert(id); }
   void unlink(GroupId id, Slot s) { members_[s.member - 1].groups.erase(id); }
-  /// The checksum term of one entry: identity fields only.
-  [[nodiscard]] std::uint64_t entry_hash(GroupId id, Slot s) const;
+  /// id's layout block, or blocks() for an id outside the layout.
+  [[nodiscard]] std::size_t block_of(GroupId id) const;
+  /// Add the entry (id, s) to, or remove it from, the size, its block's
+  /// checksum and the index.
+  void enter(GroupId id, Slot s);
+  void leave(GroupId id, Slot s);
+  /// The checksum term of one entry: identity fields only (daemon ip,
+  /// client id) — matches operator== and MemberIdHash; the informational
+  /// name must not perturb the checksum. Inline: the audit of a block
+  /// hashes every entry in it.
+  [[nodiscard]] std::uint64_t entry_hash(GroupId id, Slot s) const {
+    const auto& m = members_[s.member - 1];
+    std::uint64_t h = (static_cast<std::uint64_t>(m.daemon.value()) << 32) |
+                      static_cast<std::uint64_t>(m.client);
+    h ^= 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(id) + 1);
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return h;
+  }
 
   std::vector<Slot> slots_;  // indexed by GroupId
   std::vector<Member> members_;
   std::vector<std::string> names_;
   std::size_t size_ = 0;
-  std::uint64_t checksum_ = 0;
+  const GroupSet* layout_ = nullptr;
+  std::vector<std::uint64_t> block_sums_;  // one per layout block
+  GroupIdSet outside_;                     // entries outside the layout
+  std::uint64_t outside_sum_ = 0;
 };
 
 }  // namespace wam::wackamole

@@ -85,10 +85,8 @@ apps::ClusterOptions audited_cluster() {
   opt.num_servers = 3;
   opt.num_vips = 5;
   opt.with_router = false;
-  opt.audit_interval = sim::milliseconds(250);
   opt.resync_delay = sim::milliseconds(500);
   opt.resync_backoff_max = sim::seconds(4.0);
-  opt.gcs.audit_interval = sim::milliseconds(250);
   opt.quarantine_cooldown = sim::seconds(5.0);
   return opt;
 }

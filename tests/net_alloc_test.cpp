@@ -16,6 +16,7 @@
 #include <new>
 #include <vector>
 
+#include "apps/cluster_scenario.hpp"
 #include "apps/echo.hpp"
 #include "net/fabric.hpp"
 #include "net/host.hpp"
@@ -24,6 +25,7 @@
 #include "sim/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/shared_bytes.hpp"
+#include "wackamole/audit.hpp"
 
 namespace {
 std::size_t g_allocations = 0;  // the tests are single-threaded
@@ -181,6 +183,26 @@ TEST(EventAlloc, SteadyStateEmitIntoAFullTimelineAllocatesNothing) {
   for (int i = 0; i < 1000; ++i) emit_round(++t);
   EXPECT_EQ(g_allocations - before, 0u);
   EXPECT_EQ(obs.bus.size(), obs::EventTimeline::kCapacity);
+}
+
+// The bounded check every audit point runs (each timer tick, message
+// boundary and view change): once its in-view flags cover the view, a
+// clean point allocates nothing, on every block of the round.
+TEST(AuditAlloc, CleanAuditPointOfARunningDaemonAllocatesNothing) {
+  apps::ClusterOptions opt;
+  opt.num_servers = 3;
+  opt.num_vips = 200;  // four blocks
+  opt.with_router = false;
+  apps::ClusterScenario s(opt);
+  s.start();
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(20.0)));
+  const auto& daemon = s.wam(0);
+  ASSERT_EQ(daemon.table().blocks(), 4u);
+  wackamole::StateAuditor auditor;
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(auditor.check(daemon));
+  const std::size_t before = g_allocations;
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(auditor.check(daemon));
+  EXPECT_EQ(g_allocations - before, 0u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -105,14 +106,12 @@ apps::ClusterOptions small_cluster() {
   return opt;
 }
 
-// Audits enabled, campaign-speed knobs (detection within 250 ms, resync
-// after 500 ms, quick quarantine probe-back).
+// Campaign-speed heal timings (resync after 500 ms, quick quarantine
+// probe-back); audits run in every cluster.
 apps::ClusterOptions audited_cluster() {
   auto opt = small_cluster();
-  opt.audit_interval = sim::milliseconds(250);
   opt.resync_delay = sim::milliseconds(500);
   opt.resync_backoff_max = sim::seconds(4.0);
-  opt.gcs.audit_interval = sim::milliseconds(250);
   opt.quarantine_cooldown = sim::seconds(5.0);
   return opt;
 }
@@ -127,8 +126,8 @@ TEST(StateAudit, CleanClusterHasNoFindings) {
 }
 
 TEST(StateAudit, StrayOwnerWriteYieldsChecksumAndViewFindings) {
-  // Audits stay disabled (the default) so the corruption persists long
-  // enough to inspect the findings themselves.
+  // The findings are read right after the injection, before any audit
+  // point can heal it.
   apps::ClusterScenario s(small_cluster());
   s.start();
   ASSERT_TRUE(s.run_until_stable(sim::seconds(10.0)));
@@ -280,17 +279,42 @@ TEST(SelfHeal, ResyncBackoffDoublesToTheCapAndResetsAfterAQuietCap) {
   EXPECT_EQ(corrupt_and_time_resync(), 500.0);
 }
 
-TEST(SelfHeal, AuditsOffByDefaultKeepsHistoricalDeterminism) {
-  // With the default (disabled) audit interval a corrupted daemon never
-  // detects anything — the knob is strictly opt-in, which is what keeps
-  // pre-existing chaos seeds byte-identical.
+TEST(SelfHeal, DefaultClusterRebuildsADesyncedIndexWithinOnePeriod) {
+  // No option turns audits on: every cluster runs them.
   apps::ClusterScenario s(small_cluster());
   s.start();
   ASSERT_TRUE(s.run_until_stable(sim::seconds(10.0)));
+  const auto resyncs0 = s.wam(0).counters().resyncs.value();
   ASSERT_TRUE(s.corrupt_index(0, 0));
-  s.run(sim::seconds(5.0));
-  EXPECT_EQ(s.wam(0).counters().corruptions_detected.value(), 0u);
-  EXPECT_EQ(s.wam(0).counters().self_heals.value(), 0u);
+  s.run(gcs::kAuditPeriod);
+  EXPECT_EQ(s.wam(0).counters().corruptions_detected.value(), 1u);
+  EXPECT_EQ(s.wam(0).counters().self_heals.value(), 1u);
+  EXPECT_EQ(s.wam(0).counters().resyncs.value(), resyncs0);
+  EXPECT_TRUE(StateAuditor::audit(s.wam(0)).empty());
+}
+
+TEST(SelfHeal, StrayWriteInTheLastBlockIsSeenWithinOneRoundOfBlocks) {
+  // 200 groups are four blocks of the name-sorted layout; the stray write
+  // lands in the last one, so the bounded check reaches it within
+  // ceil(200 / 64) = 4 audit points whatever block it starts from.
+  auto opt = small_cluster();
+  opt.num_vips = 200;
+  apps::ClusterScenario s(opt);
+  s.start();
+  ASSERT_TRUE(s.run_until_stable(sim::seconds(20.0)));
+  auto& w = s.wam(0);
+  ASSERT_EQ(w.table().blocks(), 4u);
+  const auto& groups = w.config().vip_groups;
+  std::vector<std::string> names;
+  for (const auto& g : groups) names.push_back(g.name);
+  std::sort(names.begin(), names.end());
+  int index = 0;
+  while (groups[static_cast<std::size_t>(index)].name != names.back()) ++index;
+  ASSERT_TRUE(s.corrupt_vip_owner(0, index));
+  s.run(4 * gcs::kAuditPeriod);
+  EXPECT_GE(w.counters().corruptions_detected.value(), 1u);
+  EXPECT_GE(w.counters().self_heals.value(), 1u);
+  EXPECT_TRUE(StateAuditor::audit(w).empty());
 }
 
 }  // namespace

@@ -187,8 +187,8 @@ class ClusterScenario {
   [[nodiscard]] int num_clients() const {
     return static_cast<int>(clients_.size());
   }
-  /// The sharded engine, or nullptr on the legacy path (observability:
-  /// tests and benches read windows()/posts()).
+  /// The sharded engine, or nullptr when the world runs on the sequential
+  /// engine (observability: tests and benches read windows()/posts()).
   [[nodiscard]] sim::ShardSet* shards() { return shards_.get(); }
   [[nodiscard]] ProbeClient& probe() { return *probe_; }
   /// Every attached traffic source (the probe included, once started).

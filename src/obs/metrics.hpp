@@ -7,10 +7,10 @@
 // query (sum("gcs/*/views_installed")) instead of a hand-rolled loop, and
 // the `metrics` control command can export any subtree as JSON.
 //
-// The legacy per-component counter structs (WamCounters, gcs
-// DaemonCounters, FabricCounters, HostCounters) are retained as *views*
-// over registry cells: each field is an obs::Counter that, once bound by
-// bind_counters(), reads and writes the registry cell directly. Each struct
+// The per-component counter structs (WamCounters, gcs DaemonCounters,
+// FabricCounters, HostCounters) are *views* over registry cells: each
+// field is an obs::Counter that, once bound by bind_counters(), reads and
+// writes the registry cell directly. Each struct
 // lists its (name, field) pairs once, in a static for_each. Unbound
 // counters work standalone, so components remain usable without any
 // observability context (tests construct daemons bare all the time). Copying a Counter

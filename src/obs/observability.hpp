@@ -3,8 +3,8 @@
 //
 // A simulation owns exactly one Observability; components receive a
 // pointer to it (plus their metric scope) through bind_observability().
-// Components keep working without one — their legacy counter structs then
-// count free-standing and no events are recorded — so unit tests can
+// Components keep working without one — their counter structs then count
+// free-standing and no events are recorded — so unit tests can
 // build daemons bare while scenarios and benches get the full picture.
 #pragma once
 

@@ -176,7 +176,7 @@ void Daemon::on_membership(const gcs::GroupView& gv) {
   // obligation holds unconditionally.
   run_audit(AuditPoint::kPreWipe);
   ++counters_.view_changes;
-  log_.info("VIEW_CHANGE: %s", gv.to_string());
+  log_.info("VIEW_CHANGE: %s", gv);
   // Algorithm 1 lines 1-4 / Algorithm 2 lines 7-9: clear the table (the
   // addresses we actually hold are our "old table" knowledge), send a
   // STATE_MSG tagged with the new view, and enter GATHER.

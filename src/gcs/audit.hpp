@@ -24,6 +24,13 @@ namespace wam::gcs {
 /// wackamole StateAuditor's. Audits always run; there is no switch.
 inline constexpr sim::Duration kAuditPeriod = sim::milliseconds(250);
 
+/// Quiet interval of the DISCOVERY flood: a daemon that learns something
+/// rebroadcasts once, this long after the first message that taught it,
+/// with everything learned meanwhile. It is over three times a default
+/// segment's latency plus jitter (60 us), so one rebroadcast per daemon
+/// carries a round's whole first wave.
+inline constexpr sim::Duration kDiscoveryQuiet = sim::microseconds(200);
+
 enum class ViewCheck {
   /// Live view id disagrees with the shadow recorded at install.
   kIdMismatch,

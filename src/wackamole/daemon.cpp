@@ -874,6 +874,7 @@ const char* Daemon::audit_point_name(AuditPoint point) {
     case AuditPoint::kTimer: return "timer";
     case AuditPoint::kBoundary: return "boundary";
     case AuditPoint::kPreWipe: return "pre-wipe";
+    case AuditPoint::kPreResync: return "pre-resync";
     case AuditPoint::kShutdown: return "shutdown";
   }
   return "?";
@@ -920,8 +921,9 @@ void Daemon::run_audit(AuditPoint point) {
         {"count", findings.size()},
         {"at", audit_point_name(point)}});
 
-  if (point == AuditPoint::kShutdown) {
-    // Detect-only: the shutdown discards the state anyway.
+  if (point == AuditPoint::kShutdown || point == AuditPoint::kPreResync) {
+    // Detect-only: the shutdown discards the state anyway, and the resync
+    // about to run discards and rebuilds it, counting its own heal.
     in_audit_ = false;
     return;
   }
@@ -1016,6 +1018,10 @@ void Daemon::schedule_resync(const std::string& why) {
 void Daemon::resync_tick() {
   resync_pending_ = false;
   if (!running_ || !client_.connected() || state_ == WamState::kIdle) return;
+  // Pre-wipe audit, same contract as on_membership: a corruption that
+  // arrived after the resync was scheduled is detected before the wipe
+  // below discards the evidence.
+  run_audit(AuditPoint::kPreResync);
   ++counters_.resyncs;
   ++counters_.self_heals;
   emit(obs::EventType::kSelfHeal,

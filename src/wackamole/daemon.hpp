@@ -220,7 +220,7 @@ class Daemon {
   enum class Trigger { kGather, kNotify };  // what a reallocation runs for
   enum class OsOp { kAcquire, kRelease };   // the retried enforcement ops
   /// Where an audit runs from; decides the heal policy (see run_audit).
-  enum class AuditPoint { kTimer, kBoundary, kPreWipe, kShutdown };
+  enum class AuditPoint { kTimer, kBoundary, kPreWipe, kPreResync, kShutdown };
   /// (GroupSet position, owner) pairs in ascending position, i.e. group-name
   /// order on every member: the form every BALANCE and ALLOC is built from.
   using Allocation = std::vector<std::pair<std::uint32_t, gcs::MemberId>>;

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "apps/cluster_scenario.hpp"
 #include "chaos/campaign.hpp"
+#include "chaos/dsl.hpp"
 #include "chaos/oracle.hpp"
 #include "chaos/schedule.hpp"
 #include "chaos/shrink.hpp"
@@ -59,6 +61,20 @@ TEST(ChaosCampaign, PinnedRegressionSeedsStayClean) {
     EXPECT_TRUE(r.passed())
         << "seed " << seed << ": " << to_string(r.violations.front());
   }
+}
+
+// Seed 117 is a known failure (docs/CHAOS.md, "Known failures"): a
+// balance races the duplicate-address probe and two VIPs stay uncovered
+// past the guard checkpoint. Its shrunk artifact carries the chaos world
+// and the fabric seed, so replaying it must reproduce the violation.
+TEST(ChaosCampaign, Seed117ShrunkArtifactReplaysItsViolation) {
+  auto r = run_seed(117, Profile::kCluster);
+  ASSERT_FALSE(r.passed());
+  ASSERT_FALSE(r.shrunk_dsl.empty());
+  std::ostringstream out;
+  auto replay = run_dsl(parse_dsl(r.shrunk_dsl), out);
+  ASSERT_FALSE(replay.empty()) << out.str();
+  EXPECT_EQ(replay.front().kind, Violation::Kind::kUncovered) << out.str();
 }
 
 TEST(ChaosCampaign, OsFaultReplayIsByteIdentical) {

@@ -189,9 +189,12 @@ std::vector<int> first_n(int n) {
   return idx;
 }
 
-/// Counts the DISCOVERY frames the fabric accepts for transmission.
+/// Counts the DISCOVERY frames the fabric accepts for transmission: all of
+/// them, and those sent by `watched`.
 struct DiscoveryTap {
   std::uint64_t frames = 0;
+  net::Ipv4Address watched;
+  std::uint64_t watched_frames = 0;
 
   explicit DiscoveryTap(GcsCluster& c) {
     const std::uint16_t port = Config::spread_tuned().port;
@@ -204,21 +207,24 @@ struct DiscoveryTap {
           udp.payload[0] ==
               static_cast<std::uint8_t>(gcs::MsgType::kDiscovery)) {
         ++frames;
+        if (pkt.src == watched) ++watched_frames;
       }
     });
   }
 };
 
-// A membership change floods DISCOVERY in O(N^2) broadcasts: each daemon
-// rebroadcasts only when a message taught it a new daemon or epoch.
-// Replying to every flood message that does not list the receiver yet
-// would make it O(N^3) (~15.6 N^2 frames at N = 32).
-TEST(GcsMembership, DiscoveryFloodCostIsQuadratic) {
-  for (int n : {8, 16, 32}) {
+// A membership change floods DISCOVERY in O(N) broadcasts. Each daemon
+// announces itself, rebroadcasts once a quiet interval after the first
+// message that taught it something, and twice more on its rebroadcast
+// timer: 4(N - 1) frames on a fault, 4N on a rejoin. Rebroadcasting at
+// once on every such message cost about N^2 (1,023 frames on a fault at
+// N = 32); replying to every flood message, about 15.6 N^2.
+TEST(GcsMembership, DiscoveryFloodCostIsLinear) {
+  for (int n : {8, 16, 32, 64}) {
     SCOPED_TRACE("n = " + std::to_string(n));
     GcsCluster c(n);
     DiscoveryTap tap(c);
-    const auto bound = static_cast<std::uint64_t>(2 * n * n);
+    const auto bound = static_cast<std::uint64_t>(4 * n);
     c.start_all();
     c.run(sim::seconds(5.0));
     c.expect_views({first_n(n)}, "converged");
@@ -235,6 +241,71 @@ TEST(GcsMembership, DiscoveryFloodCostIsQuadratic) {
     c.expect_views({first_n(n)}, "after rejoin");
     EXPECT_LE(tap.frames, bound) << "rejoin";
   }
+}
+
+// Daemon 0 joins a round that daemon 1 starts and arms its coalescing
+// timer. Before the timer fires, a PROPOSE that excludes daemon 0 makes it
+// abandon the round and enter a new one. Nothing reaches daemon 0 in the
+// new round, so it learns nothing there: it must send its one announcement
+// and nothing more before its rebroadcast timer, a heartbeat_timeout
+// (400 ms) later. A timer left over from the abandoned round would
+// rebroadcast within kDiscoveryQuiet.
+TEST(GcsMembership, CoalescingTimerOfAnAbandonedRoundSendsNothing) {
+  GcsCluster c(2);
+  c.start_all();
+  c.run(sim::seconds(5.0));
+  c.expect_views({first_n(2)}, "converged");
+  DiscoveryTap tap(c);
+  tap.watched = c.daemons[0]->id();
+
+  // A bystander on the segment to send the PROPOSE from. A datagram to a
+  // closed port resolves its ARP entry now, so the PROPOSE later goes out
+  // at once.
+  net::Host other(c.sched, c.fabric, "x", &c.log);
+  other.add_interface(c.seg, net::Ipv4Address(10, 0, 0, 99), 24);
+  other.send_udp(c.daemons[0]->id(), 9, 9, util::Bytes{0});
+  c.run(sim::milliseconds(10));
+
+  ASSERT_TRUE(c.daemons[1]->force_rediscovery("test"));
+  c.run(sim::microseconds(100));  // daemon 1's announcement has landed
+  ASSERT_FALSE(c.daemons[0]->in_op());
+  EXPECT_EQ(tap.watched_frames, 1u);  // daemon 0's own announcement
+  c.fabric.block_direction(c.hosts[1]->nic_id(0), c.hosts[0]->nic_id(0));
+
+  const std::uint16_t port = Config::spread_tuned().port;
+  gcs::Propose p{gcs::ViewId{1000, other.primary_ip()}, {other.primary_ip()}};
+  other.send_udp(c.daemons[0]->id(), port, port, gcs::encode(p));
+  c.run(sim::microseconds(70));  // the PROPOSE has landed
+  EXPECT_EQ(tap.watched_frames, 2u);  // the new round's announcement
+
+  c.run(sim::milliseconds(100));  // far past kDiscoveryQuiet
+  EXPECT_EQ(tap.watched_frames, 2u);
+
+  c.fabric.unblock_direction(c.hosts[1]->nic_id(0), c.hosts[0]->nic_id(0));
+  c.run(sim::seconds(5.0));
+  c.expect_views({first_n(2)}, "after the abandoned round");
+}
+
+// The wire is not trusted: a DISCOVERY whose list is neither ascending nor
+// free of duplicates is learned one id at a time, so every view's member
+// list stays sorted and unique. A one-pass merge that assumed the order
+// would insert the duplicates.
+TEST(GcsMembership, UnsortedDiscoveryListIsLearnedOneIdAtATime) {
+  GcsCluster c(3);
+  c.start_all();
+  c.run(sim::seconds(5.0));
+  c.expect_views({first_n(3)}, "converged");
+  const auto epoch = c.daemons[0]->view().id.epoch;
+
+  const auto d0 = c.daemons[0]->id();
+  const auto d1 = c.daemons[1]->id();
+  const auto d2 = c.daemons[2]->id();
+  const std::uint16_t port = Config::spread_tuned().port;
+  gcs::Discovery d{d2, epoch + 1, {d2, d0, d2, d1}};
+  c.hosts[2]->send_udp_broadcast(0, port, port, gcs::encode(d));
+  c.run(sim::seconds(5.0));
+  c.expect_views({first_n(3)}, "after the unsorted list");
+  EXPECT_GT(c.daemons[0]->view().id.epoch, epoch);
 }
 
 // For the first 100 ms of a discovery round, frames from daemon 0 to the

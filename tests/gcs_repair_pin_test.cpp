@@ -111,32 +111,32 @@ using gcs::ServiceType;
 INSTANTIATE_TEST_SUITE_P(
     GcsRepair, RepairPin,
     ::testing::Values(
-        Pin{"sequencer_agreed", false, ServiceType::kAgreed, 37, 39, 0, 176,
+        Pin{"sequencer_agreed", false, ServiceType::kAgreed, 25, 20, 0, 176,
             0,
-            {"b6af11e343fc865b", "b6af11e343fc865b", "b6af11e343fc865b",
-             "b6af11e343fc865b"}},
-        Pin{"sequencer_safe", false, ServiceType::kSafe, 37, 39, 0, 176, 0,
-            {"b6af11e343fc865b", "b6af11e343fc865b", "b6af11e343fc865b",
-             "b6af11e343fc865b"}},
-        Pin{"sequencer_fifo", false, ServiceType::kFifo, 27, 22, 0, 16, 160,
-            {"1c616a20b0721d75", "4180af4c84a0759b", "a566487689981c2f",
-             "01c10743a05bce15"}},
-        Pin{"sequencer_causal", false, ServiceType::kCausal, 27, 22, 0, 16,
+            {"9dc85c99b1f5ba49", "9dc85c99b1f5ba49", "9dc85c99b1f5ba49",
+             "9dc85c99b1f5ba49"}},
+        Pin{"sequencer_safe", false, ServiceType::kSafe, 25, 20, 0, 176, 0,
+            {"9dc85c99b1f5ba49", "9dc85c99b1f5ba49", "9dc85c99b1f5ba49",
+             "9dc85c99b1f5ba49"}},
+        Pin{"sequencer_fifo", false, ServiceType::kFifo, 50, 49, 0, 16, 160,
+            {"ef7bc208653084ef", "3a4b0fd34bb21d9b", "fad1762f3486f273",
+             "8326019b304b9a17"}},
+        Pin{"sequencer_causal", false, ServiceType::kCausal, 50, 49, 0, 16,
             160,
-            {"cd5e019010a387cf", "26b2aeb807bcdc2b", "a566487689981c2f",
-             "f16ec7cb76ef1803"}},
-        Pin{"token_agreed", true, ServiceType::kAgreed, 0, 36, 568, 176, 0,
-            {"dd041fdae2571097", "dd041fdae2571097", "dd041fdae2571097",
-             "dd041fdae2571097"}},
-        Pin{"token_safe", true, ServiceType::kSafe, 0, 36, 568, 176, 0,
-            {"dd041fdae2571097", "dd041fdae2571097", "dd041fdae2571097",
-             "dd041fdae2571097"}},
-        Pin{"token_fifo", true, ServiceType::kFifo, 34, 28, 584, 16, 160,
-            {"ab84d7837353e713", "f45f7e7cff351daf", "3a55ab82e487722f",
-             "fa7a68f96aec32ed"}},
-        Pin{"token_causal", true, ServiceType::kCausal, 34, 28, 584, 16, 160,
-            {"0e647e3795ae5827", "b6e666cdb26fe727", "0e647e3795ae5827",
-             "b6f95e7e8c955a97"}}),
+            {"ef7bc208653084ef", "e4efc80b080bf8ed", "9b726a2c63d76673",
+             "8326019b304b9a17"}},
+        Pin{"token_agreed", true, ServiceType::kAgreed, 0, 21, 224, 176, 0,
+            {"715a31127f237737", "715a31127f237737", "715a31127f237737",
+             "715a31127f237737"}},
+        Pin{"token_safe", true, ServiceType::kSafe, 0, 21, 224, 176, 0,
+            {"715a31127f237737", "715a31127f237737", "715a31127f237737",
+             "715a31127f237737"}},
+        Pin{"token_fifo", true, ServiceType::kFifo, 24, 37, 564, 16, 160,
+            {"7f10e95884c181fd", "b12f9765b77ab7bf", "efe2b8906a82cddb",
+             "bd3ae9fe1b338153"}},
+        Pin{"token_causal", true, ServiceType::kCausal, 24, 37, 564, 16, 160,
+            {"7f10e95884c181fd", "b902659930ffe683", "efe2b8906a82cddb",
+             "531287f5b300e31b"}}),
     [](const ::testing::TestParamInfo<Pin>& info) {
       return std::string(info.param.name);
     });

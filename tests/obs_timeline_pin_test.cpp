@@ -1,4 +1,4 @@
-// Timeline bytes, pinned: four chaos seeds whose exported timelines
+// Timeline bytes, pinned: five chaos seeds whose exported timelines
 // together carry every event type and every field value kind. Each
 // timeline's length and 64-bit FNV-1a digest are pinned, so any change to
 // what is recorded or how it renders shows here as a changed digest.

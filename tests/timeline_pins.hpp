@@ -39,13 +39,15 @@ inline std::string timeline_of(const Pin& pin) {
 
 inline constexpr Pin kPins[] = {
     {"cluster seed 4", 4, Profile::kCluster, false, false, 17292,
-     8428612175089373243ULL},
-    {"state-faults seed 7", 7, Profile::kCluster, false, true, 56315,
-     2376367347779270847ULL},
+     8965985649278558276ULL},
+    {"state-faults seed 7", 7, Profile::kCluster, false, true, 56044,
+     17652554329986650737ULL},
     {"os-faults seed 11", 11, Profile::kCluster, true, false, 57448,
-     10326626874568197117ULL},
+     11902762153916936534ULL},
     {"router seed 4", 4, Profile::kRouter, false, false, 7667,
-     11047598792600702356ULL},
+     4070976261874725140ULL},
+    {"state-faults seed 1", 1, Profile::kCluster, false, true, 105444,
+     11154524607702753767ULL},
 };
 
 }  // namespace wam::chaos

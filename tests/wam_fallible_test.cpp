@@ -255,6 +255,73 @@ TEST(WamFallible, ReleaseRetryStopsWhenTheGroupIsReassignedBack) {
   EXPECT_EQ(c.holders(moved, {0, 1}), 1);
 }
 
+// An acquire that succeeds by another path must cancel the retry timer
+// its earlier failure armed. Otherwise that stale timer fires into a fresh
+// retry entry for the same group and makes an attempt one backoff too
+// early, spending the fresh entry's budget.
+TEST(WamFallible, StaleAcquireRetryTimerDoesNotFireIntoAFreshEntry) {
+  auto config = fallible_config();
+  config.acquire_backoff = sim::seconds(1.0);
+  WamCluster c(2, config);
+  c.start_all();
+  c.wams[0]->start();
+  c.run(sim::seconds(5.0));
+  c.wams[1]->start();
+  c.run(sim::seconds(3.0));
+  auto& mgr = *c.ipmgrs[0];
+  ASSERT_TRUE(mgr.holds(vip0()));
+  mgr.clear_ops();
+
+  gcs::Client injector("injector", gcs::ClientCallbacks{});
+  ASSERT_TRUE(injector.connect(*c.daemons[0]));
+  // Hand vip0 to wams[idx] with a BALANCE and let it land at both daemons.
+  auto assign = [&](std::size_t idx) {
+    auto owner = c.wams[idx]->self();
+    ASSERT_TRUE(owner.has_value());
+    wackamole::BalanceMsgV2 msg;
+    msg.view = wackamole::ViewTag::of(*c.wams[0]->view());
+    msg.allocation.emplace_back(
+        vip0(), std::make_pair(owner->daemon.value(), owner->client));
+    const auto applied = c.wams[0]->counters().balance_applied.value();
+    injector.multicast(c.wams[0]->config().group,
+                       wackamole::encode_balance_v2(msg));
+    c.run(sim::milliseconds(50));
+    ASSERT_EQ(c.wams[0]->counters().balance_applied.value(), applied + 1);
+  };
+
+  assign(1);  // s1 releases
+  // The injector sits on s1's daemon, so s1 applies each BALANCE the
+  // instant it is sent.
+  mgr.push_result(OsOpResult::failed("ebusy"));
+  const auto first_failure = c.sched.now();
+  assign(0);  // the acquire fails: a retry is armed for one backoff
+  assign(0);  // the acquire succeeds by the BALANCE path instead
+  assign(1);
+  mgr.push_result(OsOpResult::failed("ebusy"));
+  const auto fresh_failure = c.sched.now();
+  assign(0);  // a fresh failure: a fresh entry with its own timer
+  ASSERT_EQ(fresh_failure - first_failure, sim::milliseconds(150));
+  const std::vector<std::string> before{
+      "release 10.0.0.100", "acquire 10.0.0.100 [failed]",
+      "acquire 10.0.0.100", "release 10.0.0.100",
+      "acquire 10.0.0.100 [failed]"};
+  ASSERT_EQ(mgr.ops(), before);
+
+  // Past the first failure's backoff, but not the fresh one's: nothing.
+  c.run(first_failure + sim::milliseconds(1075) - c.sched.now());
+  EXPECT_EQ(mgr.ops(), before) << "the stale retry timer fired";
+
+  // The fresh entry's own retry comes one backoff after its failure.
+  c.run(fresh_failure + sim::milliseconds(1001) - c.sched.now());
+  injector.disconnect();
+  auto after = before;
+  after.push_back("acquire 10.0.0.100");
+  EXPECT_EQ(mgr.ops(), after);
+  EXPECT_TRUE(mgr.holds(vip0()));
+  EXPECT_EQ(c.wams[0]->counters().acquire_retries.value(), 2u);
+  EXPECT_EQ(c.holders("10.0.0.100", {0, 1}), 1);
+}
+
 TEST(WamFallible, StickyFaultEndToEndMigratesAndRejoins) {
   apps::ClusterOptions opt;
   opt.num_servers = 3;

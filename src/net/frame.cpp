@@ -31,14 +31,14 @@ std::string Frame::describe() const {
          std::to_string(payload.size()) + "B)";
 }
 
-util::Bytes ArpPacket::encode() const {
-  util::ByteWriter w(kArpSize);
-  w.u16(static_cast<std::uint16_t>(op));
-  w.raw(sender_mac.octets());
-  w.u32(sender_ip.value());
-  w.raw(target_mac.octets());
-  w.u32(target_ip.value());
-  return w.take();
+util::SharedBytes ArpPacket::encode() const {
+  return util::SharedBytes::build(kArpSize, [this](util::SpanWriter& w) {
+    w.u16(static_cast<std::uint16_t>(op));
+    w.raw(sender_mac.octets());
+    w.u32(sender_ip.value());
+    w.raw(target_mac.octets());
+    w.u32(target_ip.value());
+  });
 }
 
 ArpPacket ArpPacket::decode(util::ByteView buf) {
@@ -48,9 +48,8 @@ ArpPacket ArpPacket::decode(util::ByteView buf) {
   if (op != 1 && op != 2) throw util::DecodeError("bad ARP op");
   p.op = static_cast<ArpOp>(op);
   auto read_mac = [&r] {
-    auto raw = r.raw(6);
     std::array<std::uint8_t, 6> octets{};
-    std::copy(raw.begin(), raw.end(), octets.begin());
+    for (auto& o : octets) o = r.u8();
     return MacAddress(octets);
   };
   p.sender_mac = read_mac();

@@ -52,7 +52,8 @@ struct ArpPacket {
   /// Gratuitous announcements carry sender_ip == target_ip.
   [[nodiscard]] bool is_gratuitous() const { return sender_ip == target_ip; }
 
-  [[nodiscard]] util::Bytes encode() const;
+  /// One exactly-sized block, as every frame payload is.
+  [[nodiscard]] util::SharedBytes encode() const;
   static ArpPacket decode(util::ByteView buf);
 
   [[nodiscard]] std::string describe() const;

@@ -36,6 +36,7 @@ int Host::add_interface(SegmentId segment, Ipv4Address primary,
     return owns_on(ifindex, ip);
   });
   ifaces_.push_back(std::move(ifc));
+  burst_frames_.emplace_back();
   addresses_.add_primary(primary, ifindex);
   return ifindex;
 }
@@ -92,7 +93,6 @@ int Host::ifindex_of_ip(Ipv4Address ip) const {
 // ---------------------------------------------------------------- ARP ----
 
 void Host::send_gratuitous_arp(int ifindex, Ipv4Address ip) {
-  const auto& ifc = iface(ifindex);
   ArpPacket arp;
   arp.op = ArpOp::kReply;
   arp.sender_mac = mac(ifindex);
@@ -102,12 +102,11 @@ void Host::send_gratuitous_arp(int ifindex, Ipv4Address ip) {
   Frame f{mac(ifindex), MacAddress::broadcast(), EtherType::kArp, arp.encode()};
   ++counters_.arp_replies_sent;
   log_.debug("gratuitous ARP for %s", ip);
-  fabric_.send(ifc.nic, std::move(f));
+  transmit(ifindex, std::move(f));
 }
 
 void Host::send_spoofed_reply(int ifindex, Ipv4Address claimed_ip,
                               Ipv4Address target_ip) {
-  const auto& ifc = iface(ifindex);
   auto target_mac = arp_.lookup(target_ip, sched_.now());
   if (!target_mac) {
     // Resolve the target first, then retry the spoof once resolution lands.
@@ -130,7 +129,7 @@ void Host::send_spoofed_reply(int ifindex, Ipv4Address claimed_ip,
   ++counters_.arp_replies_sent;
   log_.debug("spoofed ARP reply: %s is-at %s -> %s", claimed_ip,
              mac(ifindex), target_ip);
-  fabric_.send(ifc.nic, std::move(f));
+  transmit(ifindex, std::move(f));
 }
 
 void Host::send_arp_request(int ifindex, Ipv4Address target) {
@@ -143,7 +142,7 @@ void Host::send_arp_request(int ifindex, Ipv4Address target) {
   arp.target_ip = target;
   Frame f{mac(ifindex), MacAddress::broadcast(), EtherType::kArp, arp.encode()};
   ++counters_.arp_requests_sent;
-  fabric_.send(ifc.nic, std::move(f));
+  transmit(ifindex, std::move(f));
 }
 
 void Host::handle_arp(const Frame& frame, int ifindex) {
@@ -154,7 +153,6 @@ void Host::handle_arp(const Frame& frame, int ifindex) {
     ++counters_.decode_errors;
     return;
   }
-  const auto& ifc = iface(ifindex);
   bool for_me = owns_on(ifindex, arp.target_ip);
   auto now = sched_.now();
 
@@ -171,7 +169,7 @@ void Host::handle_arp(const Frame& frame, int ifindex) {
       reply.target_ip = arp.sender_ip;
       Frame f{mac(ifindex), arp.sender_mac, EtherType::kArp, reply.encode()};
       ++counters_.arp_replies_sent;
-      fabric_.send(ifc.nic, std::move(f));
+      transmit(ifindex, std::move(f));
     } else if (arp.is_gratuitous()) {
       arp_.update_existing(arp.sender_ip, arp.sender_mac, now);
     }
@@ -253,16 +251,15 @@ std::pair<int, Ipv4Address> Host::route(Ipv4Address dst) const {
 
 void Host::transmit_ip(util::SharedBytes packet, int ifindex,
                        Ipv4Address next_hop) {
-  const auto& ifc = iface(ifindex);
   if (next_hop.is_broadcast()) {
-    fabric_.send(ifc.nic, Frame{mac(ifindex), MacAddress::broadcast(),
-                                EtherType::kIpv4, std::move(packet)});
+    transmit(ifindex, Frame{mac(ifindex), MacAddress::broadcast(),
+                            EtherType::kIpv4, std::move(packet)});
     return;
   }
   auto hop_mac = arp_.lookup(next_hop, sched_.now());
   if (hop_mac) {
-    fabric_.send(ifc.nic, Frame{mac(ifindex), *hop_mac, EtherType::kIpv4,
-                                std::move(packet)});
+    transmit(ifindex, Frame{mac(ifindex), *hop_mac, EtherType::kIpv4,
+                            std::move(packet)});
     return;
   }
   // Queue behind an ARP resolution.
@@ -380,7 +377,8 @@ void Host::send_udp_from(Ipv4Address src_ip, Ipv4Address dst,
 }
 
 void Host::send_udp_burst(std::span<const UdpSend> batch) {
-  burst_frames_.resize(ifaces_.size());
+  // The per-interface lists hold an open ARP burst's queue otherwise.
+  WAM_EXPECTS(arp_burst_depth_ == 0);
   const sim::TimePoint now = sched_.now();
   for (const auto& item : batch) {
     auto [ifindex, next_hop] = route(item.dst);
@@ -399,12 +397,36 @@ void Host::send_udp_burst(std::span<const UdpSend> batch) {
               encode_udp_ipv4(primary_ip(ifindex), item.dst, item.src_port,
                               item.dst_port, item.payload)});
   }
-  for (std::size_t i = 0; i < burst_frames_.size(); ++i) {
-    auto& frames = burst_frames_[i];
-    if (frames.empty()) continue;
-    fabric_.send_batch(ifaces_[i].nic, std::move(frames));
-    frames.clear();  // send_batch moved the frames out, not the capacity
+  for (int i = 0; i < interface_count(); ++i) flush_burst(i);
+}
+
+// ---------------------------------------------------------- ARP bursts ----
+
+void Host::begin_arp_burst() { ++arp_burst_depth_; }
+
+void Host::end_arp_burst() {
+  WAM_EXPECTS(arp_burst_depth_ > 0);
+  if (--arp_burst_depth_ > 0) return;
+  for (int i = 0; i < interface_count(); ++i) flush_burst(i);
+}
+
+void Host::transmit(int ifindex, Frame frame) {
+  if (arp_burst_depth_ > 0) {
+    if (frame.type == EtherType::kArp) {
+      burst_frames_[static_cast<std::size_t>(ifindex)].push_back(
+          std::move(frame));
+      return;
+    }
+    flush_burst(ifindex);  // queued ARP frames leave first
   }
+  fabric_.send(iface(ifindex).nic, std::move(frame));
+}
+
+void Host::flush_burst(int ifindex) {
+  auto& frames = burst_frames_[static_cast<std::size_t>(ifindex)];
+  if (frames.empty()) return;
+  fabric_.send_batch(iface(ifindex).nic, std::move(frames));
+  frames.clear();  // send_batch moved the frames out, not the capacity
 }
 
 void Host::join_multicast(int ifindex, Ipv4Address group) {
@@ -433,9 +455,8 @@ void Host::send_udp_multicast(int ifindex, Ipv4Address group,
   auto packet =
       encode_udp_ipv4(primary_ip(ifindex), group, src_port, dst_port, payload);
   ++counters_.udp_sent;
-  fabric_.send(iface(ifindex).nic, Frame{mac(ifindex),
-                                         MacAddress::multicast_for(group),
-                                         EtherType::kIpv4, packet});
+  transmit(ifindex, Frame{mac(ifindex), MacAddress::multicast_for(group),
+                          EtherType::kIpv4, packet});
   // Multicast loops back to local members of the group.
   if (in_multicast_group(ifindex, group)) {
     loop_back(std::move(packet), ifindex);

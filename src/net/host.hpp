@@ -11,6 +11,13 @@
 //     in Figure 3), which inserts/updates that peer's cache entry;
 //   * set_interface_up(false) — the paper's fault ("disconnecting the
 //     interface").
+//
+// The paper enforces ownership one address at a time, so one takeover
+// sends an ARP frame or more per address. begin_arp_burst() /
+// end_arp_burst() let a caller (SimIpManager, for one daemon handler) send
+// them as one burst per NIC: Fabric::send_batch, one delivery event per
+// receiving NIC instead of one per frame. Frames, bytes and each NIC's
+// transmit order are unchanged; only arrival times coarsen.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +121,14 @@ class Host {
   /// interface's segment answer a who-has for `ip`? (RFC 5227-style probe,
   /// answered synchronously by the fabric's ownership predicates.)
   [[nodiscard]] bool probe_address(int ifindex, Ipv4Address ip) const;
+  /// Open an ARP burst. Until the outermost end_arp_burst(), ARP frames
+  /// this host sends are queued per interface; it then sends each
+  /// interface's queue with Fabric::send_batch. A non-ARP frame leaving an
+  /// interface flushes that queue first, so each NIC's transmit order, and
+  /// with it its loss and jitter draw order, is exactly the unbatched one.
+  /// Scopes nest; send_udp_burst() may not run inside one.
+  void begin_arp_burst();
+  void end_arp_burst();
   [[nodiscard]] ArpCache& arp_cache() { return arp_; }
   [[nodiscard]] const ArpCache& arp_cache() const { return arp_; }
 
@@ -220,6 +235,11 @@ class Host {
   void transmit_ip(util::SharedBytes packet, int ifindex,
                    Ipv4Address next_hop);
   void send_arp_request(int ifindex, Ipv4Address target);
+  /// Every frame this host sends leaves through here: straight to the
+  /// fabric, or into the interface's queue while an ARP burst is open.
+  void transmit(int ifindex, Frame frame);
+  /// Send the interface's queued frames as one Fabric::send_batch.
+  void flush_burst(int ifindex);
   void arp_retry(Ipv4Address next_hop);
   void flush_pending(Ipv4Address resolved_ip);
   const Interface& iface(int ifindex) const;
@@ -244,9 +264,10 @@ class Host {
   Ipv4Address default_gateway_;
   std::vector<std::pair<Ipv4Network, Ipv4Address>> static_routes_;
   HostCounters counters_;
-  /// send_udp_burst's per-interface frame lists, kept between bursts so
-  /// their capacity is reused.
+  /// Per-interface frame lists of send_udp_burst and of an open ARP
+  /// burst, kept between bursts so their capacity is reused.
   std::vector<std::vector<Frame>> burst_frames_;
+  int arp_burst_depth_ = 0;
 };
 
 }  // namespace wam::net

@@ -10,6 +10,12 @@
 // list). RecordingIpManager is a test double; FaultyIpManager is a fault
 // injecting decorator for the chaos campaign.
 //
+// A daemon handler may acquire or announce hundreds of groups. It brackets
+// them in a Burst scope: SimIpManager then sends the handler's ARP frames
+// as one burst per NIC (net::Host::begin_arp_burst), one delivery event per
+// receiver instead of one per frame. Results, retries, fencing and injected
+// faults stay per group; wire frames and bytes are unchanged.
+//
 // Every operation returns an OsOpResult: real deployments fail here
 // (EBUSY aliases, dying NICs, lost gratuitous ARPs), and the daemon's
 // retry/backoff/self-fence machinery is driven by these results.
@@ -79,6 +85,23 @@ class IpManager {
   /// Router application: register a host to notify on takeover. Platforms
   /// without ARP-share support ignore this.
   virtual void add_notify_target(net::Ipv4Address /*ip*/) {}
+  /// Bracket the operations of one handler; see Burst. Scopes nest.
+  /// Platforms that send no frames ignore them.
+  virtual void begin_burst() {}
+  virtual void end_burst() {}
+
+  /// Scope guard: the ARP frames the operations inside it send leave
+  /// together when the outermost scope closes.
+  class Burst {
+   public:
+    explicit Burst(IpManager& m) : m_(m) { m_.begin_burst(); }
+    ~Burst() { m_.end_burst(); }
+    Burst(const Burst&) = delete;
+    Burst& operator=(const Burst&) = delete;
+
+   private:
+    IpManager& m_;
+  };
 };
 
 class SimIpManager : public IpManager {
@@ -106,6 +129,8 @@ class SimIpManager : public IpManager {
   [[nodiscard]] bool holds(GroupId group) const override {
     return held_.contains(group);
   }
+  void begin_burst() override { host_.begin_arp_burst(); }
+  void end_burst() override { host_.end_arp_burst(); }
 
   [[nodiscard]] net::Host& host() { return host_; }
 
@@ -177,6 +202,8 @@ class FaultyIpManager : public IpManager {
   void add_notify_target(net::Ipv4Address ip) override {
     inner_.add_notify_target(ip);
   }
+  void begin_burst() override { inner_.begin_burst(); }
+  void end_burst() override { inner_.end_burst(); }
 
  private:
   OsOpResult injected(const char* op, const std::string& group,

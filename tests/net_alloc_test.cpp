@@ -7,7 +7,9 @@
 // costs four allocations: the caller's request payload and its frame block,
 // then the echo server's reply payload and its frame block. A log call
 // with echo off costs none from the first call on; an alias bind/unbind
-// and an event emitted into a full timeline in steady state cost none.
+// and an event emitted into a full timeline in steady state cost none. One
+// handler's ARP burst costs one block per frame plus one list per
+// receiving NIC.
 // Counts are exact functions of the code, so a slide shows here long
 // before it shows in wall time.
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "util/assert.hpp"
 #include "util/shared_bytes.hpp"
 #include "wackamole/audit.hpp"
+#include "wackamole/ip_manager.hpp"
 
 namespace {
 std::size_t g_allocations = 0;  // the tests are single-threaded
@@ -160,6 +163,53 @@ TEST(AliasAlloc, SteadyStateAliasChurnAllocatesNothing) {
   EXPECT_EQ(g_allocations - before, 0u);
   EXPECT_FALSE(host.owns_ip(vip(0)));
   EXPECT_TRUE(host.owns_ip(Ipv4Address(10, 0, 0, 1)));
+}
+
+// One handler acquiring 512 one-address groups inside an IpManager::Burst
+// scope, with a router to spoof: 1,024 ARP frames (a gratuitous ARP and a
+// spoofed reply per group) that reach the router and a peer in one delivery
+// event each. In steady state every frame costs its one encoded block and
+// each receiving NIC one batch list; nothing is paid per delivery.
+TEST(ArpBurstAlloc, FiveHundredTwelveGroupBurstAllocatesPerFrameNotPerDelivery) {
+  constexpr int kGroups = 512;
+  constexpr std::size_t kFrames = 2 * kGroups;
+  constexpr std::size_t kReceivers = 2;
+  sim::Scheduler sched;
+  Fabric fabric{sched};
+  const SegmentId seg = fabric.add_segment();
+  Host server{sched, fabric, "server"};
+  Host router{sched, fabric, "router"};
+  Host peer{sched, fabric, "peer"};
+  server.add_interface(seg, Ipv4Address(10, 0, 0, 1), 16);
+  router.add_interface(seg, Ipv4Address(10, 0, 0, 254), 16);
+  peer.add_interface(seg, Ipv4Address(10, 0, 0, 2), 16);
+  server.arp_cache().put(router.primary_ip(0), router.mac(0), sched.now());
+  wackamole::SimIpManager mgr(server);
+  mgr.set_router(0, router.primary_ip(0));
+  std::vector<wackamole::VipGroup> groups;
+  for (int k = 0; k < kGroups; ++k) {
+    const Ipv4Address vip(10, 0, static_cast<std::uint8_t>(1 + k / 250),
+                          static_cast<std::uint8_t>(1 + k % 250));
+    groups.emplace_back("burst-" + std::to_string(k),
+                        std::vector<std::pair<Ipv4Address, int>>{{vip, 0}});
+  }
+  auto round = [&] {
+    {
+      wackamole::IpManager::Burst burst(mgr);
+      for (const auto& g : groups) ASSERT_TRUE(mgr.acquire(g).ok());
+    }
+    const auto events = sched.executed_events();
+    sched.run_all();
+    EXPECT_EQ(sched.executed_events() - events, kReceivers);
+    for (const auto& g : groups) ASSERT_TRUE(mgr.release(g).ok());
+  };
+  for (int i = 0; i < 2; ++i) round();
+  const std::size_t before = g_allocations;
+  constexpr int kRounds = 4;
+  for (int i = 0; i < kRounds; ++i) round();
+  EXPECT_EQ(g_allocations - before, kRounds * (kFrames + kReceivers));
+  EXPECT_EQ(fabric.counters().frames_delivered,
+            (2 + kRounds) * (kFrames + kGroups));
 }
 
 TEST(EventAlloc, SteadyStateEmitIntoAFullTimelineAllocatesNothing) {

@@ -105,14 +105,14 @@ TEST(ArpPacket, GratuitousDetection) {
 
 TEST(ArpPacket, DecodeRejectsBadOp) {
   ArpPacket p;
-  auto bytes = p.encode();
+  auto bytes = p.encode().to_bytes();
   bytes[1] = 9;  // op low byte
   EXPECT_THROW(ArpPacket::decode(bytes), util::DecodeError);
 }
 
 TEST(ArpPacket, DecodeRejectsTruncation) {
   ArpPacket p;
-  auto bytes = p.encode();
+  auto bytes = p.encode().to_bytes();
   bytes.resize(bytes.size() - 3);
   EXPECT_THROW(ArpPacket::decode(bytes), util::DecodeError);
 }

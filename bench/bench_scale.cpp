@@ -4,18 +4,19 @@
 // Reports, per configuration: the fail-over interruption (should stay flat
 // — timeout-dominated, Figure 5's message), the number of GCS messages the
 // reconfiguration cost (sequenced data + views installed), the frames the
-// fabric accepted for transmission over the whole run, and the wall-clock
-// time the whole simulated scenario took. After the table it prints the
+// fabric accepted for transmission and the scheduler events executed over
+// the whole run, and the wall-clock time the whole simulated scenario took. After the table it prints the
 // least-squares exponent k of wall ~ servers^k over the 10-VIP rows (all
 // of them, and those from 16 servers up), so a super-quadratic membership
 // cost shows up in the bench's own output.
 //
-// With --json FILE, also writes the wall-clock rows as google-benchmark
-// style JSON (name BM_ScaleFailover/<servers>/<vips>, real_time in ms) so
-// tools/check_bench.py can gate regressions against
-// bench/BENCH_scale.baseline.json.
+// With --json FILE, also writes the rows as google-benchmark style JSON
+// (name BM_ScaleFailover/<servers>/<vips>, real_time in ms, plus the exact
+// `events` count) so tools/check_bench.py can gate regressions against
+// bench/BENCH_scale.baseline.json: wall time loosely, events tightly.
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -31,6 +32,7 @@ struct Row {
   int servers;
   int vips;
   double wall_ms;
+  std::uint64_t events;  // scheduler events executed: exact per seed
 };
 
 /// Least-squares slope of log(wall) against log(servers).
@@ -60,9 +62,11 @@ void write_json(const char* path, const std::vector<Row>& rows) {
                  "    {\"name\": \"BM_ScaleFailover/%d/%d\", "
                  "\"run_type\": \"iteration\", \"iterations\": 1, "
                  "\"real_time\": %.3f, \"cpu_time\": %.3f, "
-                 "\"time_unit\": \"ms\"}%s\n",
+                 "\"time_unit\": \"ms\", \"events\": %llu}%s\n",
                  rows[i].servers, rows[i].vips, rows[i].wall_ms,
-                 rows[i].wall_ms, i + 1 < rows.size() ? "," : "");
+                 rows[i].wall_ms,
+                 static_cast<unsigned long long>(rows[i].events),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -84,9 +88,9 @@ int main(int argc, char** argv) {
       "with cluster size");
 
   std::vector<Row> rows;
-  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-13s %-12s\n", "servers",
-              "vips", "interruption (s)", "msgs sequenced", "views installed",
-              "frames sent", "wall (ms)");
+  std::printf("\n  %-9s %-7s %-16s %-18s %-16s %-13s %-13s %-12s\n",
+              "servers", "vips", "interruption (s)", "msgs sequenced",
+              "views installed", "frames sent", "events", "wall (ms)");
   auto sweep = [&](int servers, int vips) {
     apps::ClusterOptions opt;
     opt.num_servers = servers;
@@ -116,12 +120,15 @@ int main(int argc, char** argv) {
     std::uint64_t sequenced = s.obs.registry.sum("gcs/*/data_sequenced");
     std::uint64_t views = s.obs.registry.sum("gcs/*/views_installed");
     std::uint64_t frames = s.fabric.counters().frames_sent;
-    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-13llu %-12.1f\n",
+    std::uint64_t events = s.sched.executed_events();
+    std::printf("  %-9d %-7d %-16.2f %-18llu %-16llu %-13llu %-13llu "
+                "%-12.1f\n",
                 servers, vips, interruption,
                 static_cast<unsigned long long>(sequenced),
                 static_cast<unsigned long long>(views),
-                static_cast<unsigned long long>(frames), wall_ms);
-    rows.push_back(Row{servers, vips, wall_ms});
+                static_cast<unsigned long long>(frames),
+                static_cast<unsigned long long>(events), wall_ms);
+    rows.push_back(Row{servers, vips, wall_ms, events});
   };
 
   for (int servers : {4, 8, 16, 24, 32}) {
